@@ -153,9 +153,9 @@ impl Default for PreConfig {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerKind {
     /// Event-driven wakeup/select: per-physical-register waiter lists wake
-    /// exactly the dependents of a completing uop, and segregated
-    /// critical/non-critical ready queues give oldest-first select with
-    /// critical priority without per-cycle sorting. The default.
+    /// exactly the dependents of a completing uop, and per-(criticality,
+    /// port class) ready heaps give oldest-first select with critical
+    /// priority without per-cycle sorting. The default.
     #[default]
     EventDriven,
     /// The original per-cycle O(RS) scan over all reservation-station

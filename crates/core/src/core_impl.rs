@@ -97,6 +97,11 @@ pub struct Core<'p> {
     event_sched: bool,
     /// Reused scratch for draining waiter lists in `complete`.
     wake_buf: Vec<(u64, u64)>,
+    /// Reused scratch for the rename-log entries a flush unwinds.
+    unwind_buf: Vec<RenameLogEntry>,
+    /// The last Fig. 1 ROB-mix sample, reused while neither the ROB nor the
+    /// Mask Cache has changed (see `sample_rob_mix`).
+    rob_mix: RobMixMemo,
 
     // CDF mode state.
     cdf: Option<CdfEngine>,
@@ -257,6 +262,8 @@ impl<'p> Core<'p> {
             sched: Scheduler::new(cfg.phys_regs),
             event_sched: cfg.scheduler == SchedulerKind::EventDriven,
             wake_buf: Vec::new(),
+            unwind_buf: Vec::new(),
+            rob_mix: RobMixMemo::default(),
             cdf,
             cdf_fetch_mode: false,
             cdf_entry_seq: 0,
@@ -1092,7 +1099,8 @@ impl<'p> Core<'p> {
             if u.uid != uid || u.state != UopState::Waiting || !self.srcs_ready(u) {
                 continue;
             }
-            self.sched.enqueue_ready(u.critical, (seq, uid));
+            self.sched
+                .enqueue_ready(u.critical, Self::op_port(u.uop.op), (seq, uid));
         }
         self.wake_buf = buf;
         self.prof_sub(crate::prof::Subsystem::SchedWake, t);
@@ -1140,16 +1148,17 @@ impl<'p> Core<'p> {
         if !self.event_sched {
             return self.schedule_execute_scan(ports);
         }
-        // Event-driven select: drain the critical ready queue, then the
-        // regular one, each oldest-first — the same visit order as the
-        // reference scan's (!critical, seq) sort restricted to ready uops.
-        // Entries that cannot issue this cycle (port taken, or an execute
-        // attempt that must retry: MSHR rejection, store-forward stall,
-        // memory-dependence wait) are deferred and requeued for next cycle,
-        // exactly matching the scan's retry-every-cycle behaviour.
+        // Event-driven select: drain the critical ready heaps, then the
+        // regular ones, each in one merged oldest-first order over the port
+        // classes that still have a free port — the same visit order as the
+        // reference scan's (!critical, seq) sort restricted to ready uops,
+        // minus the entries the scan would skip for want of a port. Entries
+        // whose execute attempt must retry (MSHR rejection, store-forward
+        // stall, memory-dependence wait) are deferred and requeued for next
+        // cycle, exactly matching the scan's retry-every-cycle behaviour.
         let t = self.prof_begin();
-        'select: for crit in [true, false] {
-            while let Some((seq, uid)) = self.sched.pop_ready(crit) {
+        for crit in [true, false] {
+            while let Some((class, (seq, uid))) = self.sched.pop_ready(crit, &ports) {
                 let Some(u) = self.pool.get(seq) else {
                     continue; // flushed: stale token
                 };
@@ -1157,17 +1166,10 @@ impl<'p> Core<'p> {
                     continue; // reused seq, or already issued
                 }
                 if !self.srcs_ready(u) {
-                    self.sched.defer(crit, (seq, uid));
+                    self.sched.defer(crit, class, (seq, uid));
                     continue;
                 }
-                if ports.exhausted() {
-                    self.sched.defer(crit, (seq, uid));
-                    break 'select;
-                }
-                if !ports.take(Self::op_port(u.uop.op)) {
-                    self.sched.defer(crit, (seq, uid));
-                    continue;
-                }
+                ports.take(class); // pop_ready only yields a class with a free port
                 self.execute_one(Seq(seq));
                 let still_waiting = self
                     .pool
@@ -1175,7 +1177,7 @@ impl<'p> Core<'p> {
                     .map(|u| u.state == UopState::Waiting)
                     .unwrap_or(false);
                 if still_waiting {
-                    self.sched.defer(crit, (seq, uid));
+                    self.sched.defer(crit, class, (seq, uid));
                 }
             }
         }
@@ -1730,7 +1732,8 @@ impl<'p> Core<'p> {
                 pending = true;
             }
             if !pending {
-                self.sched.enqueue_ready(critical, token);
+                self.sched
+                    .enqueue_ready(critical, Self::op_port(uop.op), token);
             }
         }
         match uop.op {
@@ -2166,17 +2169,17 @@ impl<'p> Core<'p> {
                 }
             }
         };
-        for seq in self.rob.flush_after(target) {
-            if let Some(u) = self.pool.remove(seq.0) {
+        let pool = &mut self.pool;
+        self.rob.flush_after(target, |seq| {
+            if let Some(u) = pool.remove(seq.0) {
                 note(u.seq, &u.pred, &mut oldest_pred);
             }
-        }
+        });
         self.rs.flush_after(target);
-        self.lsq.lq.flush_after(target);
-        self.lsq.sq.flush_after(target);
-        for fu in self.decode.flush_after(target) {
-            note(fu.seq, &fu.pred, &mut oldest_pred);
-        }
+        self.lsq.lq.flush_after(target, drop);
+        self.lsq.sq.flush_after(target, drop);
+        self.decode
+            .flush_after(target, |fu| note(fu.seq, &fu.pred, &mut oldest_pred));
         for fu in &self.crit_pending {
             if fu.seq > target {
                 note(fu.seq, &fu.pred, &mut oldest_pred);
@@ -2243,7 +2246,8 @@ impl<'p> Core<'p> {
         }
 
         // Unwind the rename log (both RATs + free list).
-        for e in self.rlog.unwind(target) {
+        self.rlog.unwind(target, &mut self.unwind_buf);
+        for e in &self.unwind_buf {
             let rat = match e.kind {
                 RatKind::Regular => &mut self.rat,
                 RatKind::Critical => &mut self.crat,
@@ -2642,8 +2646,36 @@ impl<'p> Core<'p> {
     /// Samples the criticality mix of the current ROB contents (Fig. 1). In
     /// CDF mode the issued-stream flag is authoritative; otherwise the
     /// engine's Mask Cache classifies.
+    ///
+    /// The mix depends only on which uops the ROB holds and on the Mask
+    /// Cache, and neither changes for most of a stall episode, so the last
+    /// sample is reused while both version counters stand still. Debug
+    /// builds recompute the scan on every reuse and assert it matches.
     fn sample_rob_mix(&mut self) {
         let Some(cdf) = &self.cdf else { return };
+        let key = Some((self.rob.version(), cdf.masks.version()));
+        if self.rob_mix.key == key {
+            debug_assert_eq!(
+                self.scan_rob_mix(&cdf.masks),
+                (self.rob_mix.critical, self.rob_mix.non_critical),
+                "memoised ROB mix differs from a fresh scan"
+            );
+            #[cfg(test)]
+            {
+                self.rob_mix.hits += 1;
+            }
+        } else {
+            (self.rob_mix.critical, self.rob_mix.non_critical) = self.scan_rob_mix(&cdf.masks);
+            self.rob_mix.key = key;
+        }
+        self.stats.rob_mix.samples += 1;
+        self.stats.rob_mix.critical += self.rob_mix.critical;
+        self.stats.rob_mix.non_critical += self.rob_mix.non_critical;
+    }
+
+    /// Counts the ROB's `(critical, non-critical)` uops for
+    /// [`sample_rob_mix`](Self::sample_rob_mix).
+    fn scan_rob_mix(&self, masks: &crate::mask_cache::MaskCache) -> (u64, u64) {
         let mut critical = 0u64;
         let mut non_critical = 0u64;
         for seq in self.rob.iter() {
@@ -2655,7 +2687,7 @@ impl<'p> Core<'p> {
             } else {
                 let bb = self.program.block(self.program.block_of(u.pc));
                 let off = (u.pc.index() - bb.start.index()) as u8;
-                cdf.masks
+                masks
                     .get(bb.start)
                     .map(|m| off < 64 && m & (1 << off) != 0)
                     .unwrap_or(false)
@@ -2666,10 +2698,21 @@ impl<'p> Core<'p> {
                 non_critical += 1;
             }
         }
-        self.stats.rob_mix.samples += 1;
-        self.stats.rob_mix.critical += critical;
-        self.stats.rob_mix.non_critical += non_critical;
+        (critical, non_critical)
     }
+}
+
+/// The last Fig. 1 ROB-mix sample and the contents it was taken over.
+#[derive(Clone, Copy, Debug, Default)]
+struct RobMixMemo {
+    /// `(ROB version, Mask Cache version)` at the sample; `None` before the
+    /// first one.
+    key: Option<(u64, u64)>,
+    critical: u64,
+    non_critical: u64,
+    /// Samples answered from the memo.
+    #[cfg(test)]
+    hits: u64,
 }
 
 #[cfg(test)]
@@ -2881,5 +2924,42 @@ mod tests {
             s1.branch_mpki()
         );
         assert!(s2.ipc() < s1.ipc());
+    }
+
+    /// The Fig. 1 ROB-mix memo is exercised on a stall-heavy kernel under
+    /// both modes that sample. Every memo hit runs `sample_rob_mix`'s
+    /// `debug_assert` recomputing the full scan, so this test proves
+    /// hit == scan whenever debug assertions are on (`cargo test`).
+    #[test]
+    fn rob_mix_memo_hits_equal_full_scans() {
+        use cdf_workloads::{registry, GenConfig};
+        let gen = GenConfig {
+            seed: 0xC0FFEE,
+            scale: 1.0 / 8.0,
+            iters: 3000,
+        };
+        let w = registry::by_name("omnetpp_like", &gen).expect("known workload");
+        for mode in [
+            CoreMode::BaselineClassify,
+            CoreMode::Cdf(crate::CdfConfig::default()),
+        ] {
+            let cfg = CoreConfig {
+                mode: mode.clone(),
+                ..CoreConfig::default()
+            };
+            let mut core = Core::new(&w.program, w.memory.clone(), cfg);
+            let stats = core.run(200_000);
+            let memo = core.rob_mix;
+            assert!(
+                stats.full_window_stalls > 0,
+                "{mode:?}: the kernel must stall"
+            );
+            assert!(
+                memo.hits > 0 && memo.hits < stats.rob_mix.samples,
+                "{mode:?}: {} memo hits of {} samples",
+                memo.hits,
+                stats.rob_mix.samples
+            );
+        }
     }
 }

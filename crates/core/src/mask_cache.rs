@@ -37,6 +37,11 @@ pub struct MaskCache {
     entries: Vec<Option<Entry>>,
     clock: u64,
     merges: u64,
+    /// Bumped whenever a merge, remove or reset can change what [`get`]
+    /// returns (LRU refreshes alone do not count).
+    ///
+    /// [`get`]: MaskCache::get
+    version: u64,
 }
 
 impl MaskCache {
@@ -48,6 +53,7 @@ impl MaskCache {
             ways,
             clock: 0,
             merges: 0,
+            version: 0,
         }
     }
 
@@ -77,10 +83,14 @@ impl MaskCache {
         let ways = &mut self.entries[range];
         let tag = block_start.index() as u64;
         if let Some(e) = ways.iter_mut().flatten().find(|e| e.tag == tag) {
-            e.mask |= mask;
+            if e.mask | mask != e.mask {
+                e.mask |= mask;
+                self.version += 1;
+            }
             e.lru = clock;
             return e.mask;
         }
+        self.version += 1;
         let slot = ways
             .iter_mut()
             .min_by_key(|e| e.as_ref().map(|e| e.lru).unwrap_or(0))
@@ -101,6 +111,7 @@ impl MaskCache {
         for e in &mut self.entries[range] {
             if e.map(|e| e.tag) == Some(tag) {
                 *e = None;
+                self.version += 1;
             }
         }
     }
@@ -108,6 +119,12 @@ impl MaskCache {
     /// Clears all entries (the periodic 200k-instruction reset).
     pub fn reset(&mut self) {
         self.entries.fill(None);
+        self.version += 1;
+    }
+
+    /// The contents version (see the `version` field).
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Number of merges performed (energy accounting).
@@ -138,6 +155,29 @@ mod tests {
         mc.remove(Pc::new(0));
         assert_eq!(mc.get(Pc::new(0)), None);
         assert_eq!(mc.get(Pc::new(1)), Some(2));
+    }
+
+    #[test]
+    fn version_moves_only_when_a_lookup_can_change() {
+        let mut mc = MaskCache::new(4, 2);
+        let mut v = mc.version();
+        let mut changed = |mc: &MaskCache| {
+            let moved = mc.version() != v;
+            v = mc.version();
+            moved
+        };
+        mc.merge(Pc::new(0), 0b11);
+        assert!(changed(&mc), "allocation");
+        mc.merge(Pc::new(0), 0b01);
+        assert!(!changed(&mc), "a subset merge only refreshes LRU");
+        mc.merge(Pc::new(0), 0b100);
+        assert!(changed(&mc), "new bits");
+        mc.remove(Pc::new(9));
+        assert!(!changed(&mc), "removing an absent block");
+        mc.remove(Pc::new(0));
+        assert!(changed(&mc), "removal");
+        mc.reset();
+        assert!(changed(&mc), "reset");
     }
 
     #[test]

@@ -204,26 +204,24 @@ impl RenameLog {
         self.entries.push_back(e);
     }
 
-    /// Removes and returns (reverse insertion order) all entries with
-    /// `seq > target`. The caller applies the undo to the RATs and the free
-    /// list.
+    /// Removes all entries with `seq > target` into `out` (cleared first),
+    /// in reverse insertion order. The caller applies the undo to the RATs
+    /// and the free list; `out` is the caller's reused scratch.
     ///
     /// The log is in *rename* order, not sequence order — the critical
     /// stream renames young uops before the regular stream renames older
     /// ones — so the whole log is scanned: young critical entries can be
     /// buried beneath later-pushed old regular entries.
-    pub fn unwind(&mut self, target: Seq) -> Vec<RenameLogEntry> {
-        let mut out = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.entries.len());
-        while let Some(e) = self.entries.pop_back() {
-            if e.seq > target {
-                out.push(e);
-            } else {
-                kept.push_front(e);
+    pub fn unwind(&mut self, target: Seq, out: &mut Vec<RenameLogEntry>) {
+        out.clear();
+        self.entries.retain(|e| {
+            let keep = e.seq <= target;
+            if !keep {
+                out.push(*e);
             }
-        }
-        self.entries = kept;
-        out
+            keep
+        });
+        out.reverse();
     }
 
     /// Drops entries for uops at or before `retired` (their mappings are
@@ -342,7 +340,8 @@ mod tests {
                 allocated: None,
             });
         }
-        let undone = log.unwind(Seq(3));
+        let mut undone = Vec::new();
+        log.unwind(Seq(3), &mut undone);
         assert_eq!(undone.len(), 2);
         assert_eq!(undone[0].seq, Seq(5), "youngest first");
         assert_eq!(undone[1].seq, Seq(4));
@@ -365,7 +364,8 @@ mod tests {
         };
         log.push(entry(100, RatKind::Critical));
         log.push(entry(50, RatKind::Regular));
-        let undone = log.unwind(Seq(60));
+        let mut undone = vec![entry(1, RatKind::Regular)];
+        log.unwind(Seq(60), &mut undone);
         assert_eq!(undone.len(), 1, "buried critical entry must be found");
         assert_eq!(undone[0].seq, Seq(100));
         assert_eq!(log.len(), 1);
@@ -393,7 +393,9 @@ mod tests {
                 allocated: Some((p, false)),
             });
         }
-        for e in log.unwind(Seq(0)) {
+        let mut undone = Vec::new();
+        log.unwind(Seq(0), &mut undone);
+        for e in undone {
             let r = e.areg.unwrap();
             rat.set(r, e.prev_preg);
             rat.set_poison(r, e.prev_poison);

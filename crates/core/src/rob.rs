@@ -31,6 +31,9 @@ pub(crate) struct PartitionedQueue<T> {
     /// (guarantees forward progress for the regular stream); the critical
     /// partition may shrink to zero (the baseline has no critical section).
     min_cap: usize,
+    /// Bumped whenever an entry enters or leaves (push, pop, flush), so a
+    /// reader can tell that the contents are unchanged since it last looked.
+    version: u64,
 }
 
 impl<T: HasSeq> PartitionedQueue<T> {
@@ -43,7 +46,13 @@ impl<T: HasSeq> PartitionedQueue<T> {
             crit_cap,
             noncrit_cap: total - crit_cap,
             min_cap,
+            version: 0,
         }
+    }
+
+    /// The contents version (see the `version` field).
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     pub fn total_cap(&self) -> usize {
@@ -91,6 +100,7 @@ impl<T: HasSeq> PartitionedQueue<T> {
             assert!(back.seq() < item.seq(), "out of order push");
         }
         q.push_back(item);
+        self.version += 1;
     }
 
     /// The oldest entry in each section: `(critical head, non-critical head)`.
@@ -100,6 +110,7 @@ impl<T: HasSeq> PartitionedQueue<T> {
 
     /// Pops the head of the chosen section.
     pub fn pop_head(&mut self, critical: bool) -> Option<T> {
+        self.version += 1;
         if critical {
             self.crit.pop_front()
         } else {
@@ -107,19 +118,16 @@ impl<T: HasSeq> PartitionedQueue<T> {
         }
     }
 
-    /// Removes every entry with `seq > target` (flush), returning them.
-    pub fn flush_after(&mut self, target: Seq) -> Vec<T> {
-        let mut out = Vec::new();
+    /// Removes every entry with `seq > target` (flush), handing each to
+    /// `removed` — youngest-first within a section, critical section first.
+    /// Pass [`drop`] when the entries are not needed.
+    pub fn flush_after(&mut self, target: Seq, mut removed: impl FnMut(T)) {
+        self.version += 1;
         for q in [&mut self.crit, &mut self.noncrit] {
-            while let Some(back) = q.back() {
-                if back.seq() > target {
-                    out.push(q.pop_back().expect("just peeked"));
-                } else {
-                    break;
-                }
+            while q.back().is_some_and(|b| b.seq() > target) {
+                removed(q.pop_back().expect("just peeked"));
             }
         }
-        out
     }
 
     /// Iterates over all entries (critical section first; not globally
@@ -209,11 +217,27 @@ mod tests {
         q.push(Seq(2), false);
         q.push(Seq(3), true);
         q.push(Seq(4), false);
-        let flushed = q.flush_after(Seq(2));
-        let mut seqs: Vec<_> = flushed.iter().map(|s| s.0).collect();
-        seqs.sort();
-        assert_eq!(seqs, vec![3, 4]);
+        let mut flushed = Vec::new();
+        q.flush_after(Seq(2), |s| flushed.push(s.0));
+        assert_eq!(flushed, [3, 4], "critical section first, youngest first");
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn version_moves_with_the_contents_only() {
+        let mut q = q();
+        let v0 = q.version();
+        q.push(Seq(1), true);
+        q.push(Seq(2), false);
+        let v1 = q.version();
+        assert_ne!(v0, v1);
+        q.grow_critical(2);
+        assert_eq!(q.version(), v1, "a resize leaves the contents alone");
+        q.pop_head(true);
+        let v2 = q.version();
+        assert_ne!(v1, v2);
+        q.flush_after(Seq(1), drop);
+        assert_ne!(q.version(), v2);
     }
 
     #[test]

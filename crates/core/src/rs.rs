@@ -94,6 +94,16 @@ pub(crate) struct PortBudget {
 }
 
 impl PortBudget {
+    /// Whether a port of the given class is still free this cycle.
+    pub fn has(&self, class: PortClass) -> bool {
+        match class {
+            PortClass::Int => self.int > 0,
+            PortClass::Fp => self.fp > 0,
+            PortClass::Load => self.load > 0,
+            PortClass::Store => self.store > 0,
+        }
+    }
+
     /// Tries to consume a port of the given class; returns whether one was
     /// available.
     pub fn take(&mut self, class: PortClass) -> bool {
@@ -110,12 +120,6 @@ impl PortBudget {
             false
         }
     }
-
-    /// Whether every port class is spent — select can stop early, since no
-    /// remaining candidate of any class could issue this cycle.
-    pub fn exhausted(&self) -> bool {
-        self.int == 0 && self.fp == 0 && self.load == 0 && self.store == 0
-    }
 }
 
 /// Execution port classes.
@@ -125,6 +129,16 @@ pub(crate) enum PortClass {
     Fp,
     Load,
     Store,
+}
+
+impl PortClass {
+    /// Every class, in index order (`class as usize`).
+    pub const ALL: [PortClass; 4] = [
+        PortClass::Int,
+        PortClass::Fp,
+        PortClass::Load,
+        PortClass::Store,
+    ];
 }
 
 #[cfg(test)]
@@ -185,8 +199,8 @@ mod tests {
         assert!(!p.take(PortClass::Int));
         assert!(p.take(PortClass::Fp));
         assert!(!p.take(PortClass::Store));
-        assert!(!p.exhausted(), "a load port remains");
+        assert!(p.has(PortClass::Load), "a load port remains");
         assert!(p.take(PortClass::Load));
-        assert!(p.exhausted());
+        assert!(PortClass::ALL.iter().all(|&c| !p.has(c)));
     }
 }

@@ -12,9 +12,24 @@
 //!   as a not-yet-ready source at rename. The completion stage drains the
 //!   destination register's list; a woken uop whose sources are now all
 //!   ready enters the ready queue.
-//! * **Segregated ready queues:** two min-heaps keyed by sequence number,
-//!   one for critical uops and one for the rest, so select is oldest-first
-//!   with critical priority (§3.5) without sorting anything per cycle.
+//! * **Per-(criticality, port class) ready heaps:** eight min-heaps keyed by
+//!   sequence number, one per port class (int, fp, load, store) for critical
+//!   uops and one per class for the rest. Select drains the critical heaps
+//!   before the regular ones (§3.5) and, within a criticality, pops the
+//!   oldest head among the classes that *still have a free port this
+//!   cycle*. A class whose ports are spent is never popped, so select costs
+//!   O(uops issued) rather than O(ready queue): when the MSHRs are saturated
+//!   and the load ports go to rejected retries, the waiting loads stay in
+//!   their heap instead of being popped and re-pushed every cycle.
+//! * **One merged order across classes:** the heads are merged rather than
+//!   each class drained on its own, because execution within one cycle is
+//!   order-sensitive across classes. Loads and stores must leave oldest-first
+//!   relative to each other — store-to-load forwarding, `check_violation`,
+//!   the memory-dependence wait and MSHR admission all see the stores and
+//!   loads issued earlier in the same cycle — and when a branch and a
+//!   store's ordering violation raise flushes with the same target, the one
+//!   raised first wins. Merging at most four heap heads keeps the reference
+//!   scan's exact visit order at constant cost per pop.
 //! * **Lazy invalidation:** flushes never walk the scheduler. Stale entries
 //!   (flushed uops, or re-used sequence numbers) are dropped at wake/select
 //!   time by validating `(seq, uid)` against the instruction pool. This
@@ -22,10 +37,12 @@
 //!   allocation-free — every buffer here is reused, never rebuilt.
 //!
 //! Select-order equivalence with the reference scan (critical-first, then
-//! ascending seq, skipping not-ready entries) is proven by the
-//! scheduler-equivalence suite in `cdf-sim`: both schedulers produce
-//! bit-identical `CoreStats` and retirement digests on every mechanism.
+//! ascending seq, skipping not-ready entries and entries whose port class
+//! is spent) is proven by the scheduler-equivalence suite in `cdf-sim`:
+//! both schedulers produce bit-identical `CoreStats` and retirement digests
+//! on every mechanism.
 
+use crate::rs::{PortBudget, PortClass};
 use crate::types::PhysReg;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,14 +57,13 @@ pub(crate) type Token = (u64, u64);
 pub(crate) struct Scheduler {
     /// Per-physical-register waiter lists. Indexed by `PhysReg.0`.
     waiters: Vec<Vec<Token>>,
-    /// Ready critical uops, oldest (smallest seq) first.
-    ready_crit: BinaryHeap<Reverse<Token>>,
-    /// Ready non-critical uops, oldest first.
-    ready_reg: BinaryHeap<Reverse<Token>>,
-    /// Tokens popped this cycle that must be retried next cycle (port
-    /// exhaustion, or an execute attempt that left the uop waiting: MSHR
-    /// rejection, store-forward data stall, memory-dependence wait).
-    deferred: Vec<(bool, Token)>,
+    /// Ready uops, oldest (smallest seq) first, indexed by
+    /// `[critical as usize][PortClass as usize]`.
+    ready: [[BinaryHeap<Reverse<Token>>; 4]; 2],
+    /// Tokens popped this cycle that must be retried next cycle (an execute
+    /// attempt that left the uop waiting: MSHR rejection, store-forward data
+    /// stall, memory-dependence wait).
+    deferred: Vec<(bool, PortClass, Token)>,
 }
 
 impl Scheduler {
@@ -55,8 +71,7 @@ impl Scheduler {
     pub fn new(phys_regs: usize) -> Scheduler {
         Scheduler {
             waiters: vec![Vec::new(); phys_regs],
-            ready_crit: BinaryHeap::new(),
-            ready_reg: BinaryHeap::new(),
+            ready: Default::default(),
             deferred: Vec::new(),
         }
     }
@@ -75,41 +90,41 @@ impl Scheduler {
     }
 
     /// Enqueues a ready uop for selection.
-    pub fn enqueue_ready(&mut self, critical: bool, token: Token) {
-        if critical {
-            self.ready_crit.push(Reverse(token));
-        } else {
-            self.ready_reg.push(Reverse(token));
-        }
+    pub fn enqueue_ready(&mut self, critical: bool, class: PortClass, token: Token) {
+        self.ready[critical as usize][class as usize].push(Reverse(token));
     }
 
-    /// Pops the oldest ready token of the given class.
-    pub fn pop_ready(&mut self, critical: bool) -> Option<Token> {
-        let heap = if critical {
-            &mut self.ready_crit
-        } else {
-            &mut self.ready_reg
-        };
-        heap.pop().map(|Reverse(t)| t)
+    /// Pops the oldest ready token of the given criticality among the port
+    /// classes that still have a free port in `ports`. Classes without one
+    /// are left untouched.
+    pub fn pop_ready(&mut self, critical: bool, ports: &PortBudget) -> Option<(PortClass, Token)> {
+        let heaps = &mut self.ready[critical as usize];
+        let (_, class) = PortClass::ALL
+            .into_iter()
+            .filter(|&c| ports.has(c))
+            .filter_map(|c| heaps[c as usize].peek().map(|&Reverse(t)| (t, c)))
+            .min_by_key(|&(t, _)| t)?;
+        heaps[class as usize].pop().map(|Reverse(t)| (class, t))
     }
 
     /// Holds a popped token for retry next cycle (it stays selected-order
     /// stable: re-insertion into the seq-keyed heap restores its position).
-    pub fn defer(&mut self, critical: bool, token: Token) {
-        self.deferred.push((critical, token));
+    pub fn defer(&mut self, critical: bool, class: PortClass, token: Token) {
+        self.deferred.push((critical, class, token));
     }
 
-    /// Returns every deferred token to its ready queue (end of select).
+    /// Returns every deferred token to its own ready heap (end of select).
     pub fn requeue_deferred(&mut self) {
-        while let Some((critical, token)) = self.deferred.pop() {
-            self.enqueue_ready(critical, token);
+        while let Some((critical, class, token)) = self.deferred.pop() {
+            self.enqueue_ready(critical, class, token);
         }
     }
 
-    /// Number of queued-ready tokens (stale tokens included until popped).
+    /// Number of queued-ready tokens of one heap (stale tokens included
+    /// until popped).
     #[cfg(test)]
-    pub fn ready_len(&self) -> usize {
-        self.ready_crit.len() + self.ready_reg.len()
+    pub fn ready_len(&self, critical: bool, class: PortClass) -> usize {
+        self.ready[critical as usize][class as usize].len()
     }
 
     /// Number of registered waiter tokens across all registers.
@@ -122,21 +137,117 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use PortClass::*;
+
+    fn ports(int: u32, fp: u32, load: u32, store: u32) -> PortBudget {
+        PortBudget {
+            int,
+            fp,
+            load,
+            store,
+        }
+    }
+
+    /// Pops every selectable token of one criticality the way the core
+    /// does: take a port per pop, stop when nothing selectable is left.
+    fn drain(s: &mut Scheduler, critical: bool, p: &mut PortBudget) -> Vec<(PortClass, Token)> {
+        let mut out = Vec::new();
+        while let Some((class, t)) = s.pop_ready(critical, p) {
+            assert!(p.take(class), "popped a class without a free port");
+            out.push((class, t));
+        }
+        out
+    }
 
     #[test]
     fn select_is_oldest_first_with_critical_priority() {
         let mut s = Scheduler::new(8);
-        s.enqueue_ready(false, (5, 50));
-        s.enqueue_ready(true, (9, 90));
-        s.enqueue_ready(false, (3, 30));
-        s.enqueue_ready(true, (7, 70));
-        // Critical class drains first, each class oldest-first.
-        assert_eq!(s.pop_ready(true), Some((7, 70)));
-        assert_eq!(s.pop_ready(true), Some((9, 90)));
-        assert_eq!(s.pop_ready(true), None);
-        assert_eq!(s.pop_ready(false), Some((3, 30)));
-        assert_eq!(s.pop_ready(false), Some((5, 50)));
-        assert_eq!(s.pop_ready(false), None);
+        s.enqueue_ready(false, Int, (5, 50));
+        s.enqueue_ready(true, Fp, (9, 90));
+        s.enqueue_ready(false, Load, (3, 30));
+        s.enqueue_ready(true, Int, (7, 70));
+        let mut p = ports(4, 4, 4, 4);
+        assert_eq!(drain(&mut s, true, &mut p), [(Int, (7, 70)), (Fp, (9, 90))]);
+        assert_eq!(
+            drain(&mut s, false, &mut p),
+            [(Load, (3, 30)), (Int, (5, 50))]
+        );
+    }
+
+    #[test]
+    fn a_class_is_not_popped_once_its_ports_are_spent() {
+        let mut s = Scheduler::new(8);
+        for seq in 1..=4 {
+            s.enqueue_ready(false, Load, (seq, seq));
+        }
+        s.enqueue_ready(false, Int, (10, 10));
+        s.enqueue_ready(false, Int, (11, 11));
+        let mut p = ports(1, 0, 2, 0);
+        assert_eq!(
+            drain(&mut s, false, &mut p),
+            [(Load, (1, 1)), (Load, (2, 2)), (Int, (10, 10))]
+        );
+        assert_eq!(s.ready_len(false, Load), 2, "younger loads stay queued");
+        assert_eq!(s.ready_len(false, Int), 1);
+        // A class with no ports at all is never touched.
+        s.enqueue_ready(false, Fp, (0, 0));
+        assert_eq!(s.pop_ready(false, &ports(0, 0, 1, 0)), Some((Load, (3, 3))));
+        assert_eq!(s.ready_len(false, Fp), 1);
+    }
+
+    #[test]
+    fn loads_and_stores_leave_in_ascending_seq_order() {
+        let mut s = Scheduler::new(8);
+        for (class, seq) in [
+            (Store, 8),
+            (Load, 3),
+            (Store, 2),
+            (Load, 9),
+            (Load, 5),
+            (Store, 6),
+        ] {
+            s.enqueue_ready(false, class, (seq, seq));
+        }
+        let order: Vec<u64> = drain(&mut s, false, &mut ports(0, 0, 8, 8))
+            .into_iter()
+            .map(|(_, (seq, _))| seq)
+            .collect();
+        assert_eq!(order, [2, 3, 5, 6, 8, 9]);
+        // Once the store ports are spent the loads keep their own order.
+        for (class, seq) in [(Store, 1), (Load, 4), (Store, 2), (Load, 3)] {
+            s.enqueue_ready(false, class, (seq, seq));
+        }
+        let order: Vec<(PortClass, u64)> = drain(&mut s, false, &mut ports(0, 0, 2, 1))
+            .into_iter()
+            .map(|(c, (seq, _))| (c, seq))
+            .collect();
+        assert_eq!(order, [(Store, 1), (Load, 3), (Load, 4)]);
+    }
+
+    #[test]
+    fn stale_tokens_are_still_dropped() {
+        // A flushed uop's token and a post-flush reuse of its seq are both
+        // queued; the scheduler hands both back and the caller's
+        // (seq, uid) validation drops the stale one. Nothing is lost and
+        // the stale token does not come back.
+        let mut s = Scheduler::new(8);
+        s.enqueue_ready(false, Int, (4, 40)); // stale: uid 40 was flushed
+        s.enqueue_ready(false, Int, (4, 41)); // the live reuse of seq 4
+        let live = |t: Token| t.1 != 40;
+        let mut p = ports(2, 0, 0, 0);
+        let mut issued = Vec::new();
+        while let Some((class, t)) = s.pop_ready(false, &p) {
+            if live(t) {
+                p.take(class);
+                issued.push(t);
+            }
+        }
+        assert_eq!(issued, [(4, 41)]);
+        assert_eq!(
+            s.ready_len(false, Int),
+            0,
+            "stale token dropped, not requeued"
+        );
     }
 
     #[test]
@@ -154,17 +265,28 @@ mod tests {
     }
 
     #[test]
-    fn deferred_tokens_return_to_their_queue_in_order() {
+    fn deferred_tokens_return_to_their_own_class_heap() {
         let mut s = Scheduler::new(4);
-        s.enqueue_ready(false, (4, 1));
-        s.enqueue_ready(false, (2, 2));
-        let a = s.pop_ready(false).unwrap();
-        s.defer(false, a);
-        let b = s.pop_ready(false).unwrap();
-        s.defer(false, b);
-        assert_eq!(s.ready_len(), 0);
+        s.enqueue_ready(false, Load, (4, 1));
+        s.enqueue_ready(true, Load, (6, 3));
+        s.enqueue_ready(false, Store, (2, 2));
+        let p = ports(0, 0, 1, 1);
+        for crit in [true, false] {
+            while let Some((class, t)) = s.pop_ready(crit, &p) {
+                s.defer(crit, class, t);
+            }
+        }
+        assert_eq!(s.ready_len(false, Load) + s.ready_len(false, Store), 0);
         s.requeue_deferred();
-        assert_eq!(s.pop_ready(false), Some((2, 2)), "oldest-first restored");
-        assert_eq!(s.pop_ready(false), Some((4, 1)));
+        assert_eq!(s.ready_len(true, Load), 1);
+        assert_eq!(s.ready_len(false, Load), 1);
+        assert_eq!(s.ready_len(false, Store), 1);
+        assert_eq!(s.pop_ready(true, &p), Some((Load, (6, 3))));
+        assert_eq!(
+            s.pop_ready(false, &p),
+            Some((Store, (2, 2))),
+            "oldest-first restored"
+        );
+        assert_eq!(s.pop_ready(false, &p), Some((Load, (4, 1))));
     }
 }

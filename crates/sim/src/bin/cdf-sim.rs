@@ -151,6 +151,20 @@ fn usage() -> ! {
 }
 
 fn run_fuzz_command(args: &[String]) {
+    reject_unknown_flags(
+        args,
+        &[
+            ("--seeds", true),
+            ("--start", true),
+            ("--budget", true),
+            ("--shrink-budget", true),
+            ("--threads", true),
+            ("--mechs", true),
+            ("--minimize", false),
+            ("--report", true),
+            ("--out", true),
+        ],
+    );
     let mut cfg = cdf_sim::FuzzConfig::default();
     if let Some(v) = flag_value(args, "--seeds") {
         cfg.seeds = v.parse().unwrap_or_else(|_| usage());
@@ -209,6 +223,18 @@ fn run_fuzz_command(args: &[String]) {
 }
 
 fn run_equiv_command(args: &[String]) {
+    reject_unknown_flags(
+        args,
+        &[
+            ("--mem", false),
+            ("--boundary", false),
+            ("--seeds", true),
+            ("--start", true),
+            ("--threads", true),
+            ("--mechs", true),
+            ("--report", true),
+        ],
+    );
     let mut cfg = cdf_sim::EquivConfig::default();
     if args.iter().any(|a| a == "--mem") {
         cfg.axis = cdf_sim::EquivAxis::MemModel;
@@ -1137,6 +1163,12 @@ fn main() {
         }
         Some("run") => {
             let name = args.get(1).cloned().unwrap_or_else(|| usage());
+            let allowed: Vec<(&str, bool)> = SIZING_FLAGS
+                .iter()
+                .copied()
+                .chain([("--mech", true)])
+                .collect();
+            reject_unknown_flags(&args[2..], &allowed);
             let mech = parse_mech(&args);
             let cfg = parse_eval(&args[2..]);
             match cdf_sim::try_simulate(&name, mech, &cfg) {

@@ -30,14 +30,23 @@ fn bounded_fuzz_equivalence_all_mechanisms() {
 /// Full warmup+measure windows compared [`cdf_sim::Measurement`]-for-
 /// measurement: DRAM line traffic and energy are folded in, so a scheduler
 /// that reordered memory-system events would fail here even with a clean
-/// retirement stream.
+/// retirement stream. `gems_like` and `omnetpp_like` are the MSHR-saturated,
+/// stall-heavy cells where the load ports go to rejected retries while the
+/// other port classes keep issuing.
 #[test]
 fn workload_windows_bit_identical_across_schedulers() {
     let mut cfg = EvalConfig::quick();
     cfg.warmup_instructions = 5_000;
     cfg.measure_instructions = 10_000;
     let mismatches = workload_equivalence(
-        &["astar_like", "mcf_like", "libq_like", "sphinx_like"],
+        &[
+            "astar_like",
+            "mcf_like",
+            "libq_like",
+            "sphinx_like",
+            "gems_like",
+            "omnetpp_like",
+        ],
         &[Mechanism::Baseline, Mechanism::Cdf, Mechanism::Pre],
         &cfg,
     );
