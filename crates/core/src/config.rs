@@ -173,34 +173,6 @@ impl SchedulerKind {
     }
 }
 
-/// Which implementation of the core↔memory boundary carries requests.
-///
-/// Like [`SchedulerKind`] and [`MemModelKind`], both variants are
-/// **bit-identical** — same `CoreStats`, same retired stream, on every
-/// mechanism and workload — and runtime-selectable so one process can run
-/// both and compare (`cdf-sim equiv --boundary`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum BoundaryKind {
-    /// Tagged request/response messages through
-    /// [`MessagePort`](crate::memport::MessagePort) — the envelope that
-    /// lets N cores share a memory system. The default.
-    #[default]
-    RequestResponse,
-    /// The original synchronous call into the private hierarchy, kept as
-    /// the equivalence oracle.
-    ReferenceDirect,
-}
-
-impl BoundaryKind {
-    /// Stable label used in serialized reports and result-store keys.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BoundaryKind::RequestResponse => "msg",
-            BoundaryKind::ReferenceDirect => "direct",
-        }
-    }
-}
-
 /// Which mechanism the core runs.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub enum CoreMode {
@@ -261,8 +233,6 @@ pub struct CoreConfig {
     pub mode: CoreMode,
     /// Wakeup/select implementation (see [`SchedulerKind`]).
     pub scheduler: SchedulerKind,
-    /// Core↔memory boundary implementation (see [`BoundaryKind`]).
-    pub boundary: BoundaryKind,
     /// Instruction-pool ring capacity in slots, rounded up to a power of
     /// two. `0` (the default) sizes the pool automatically from the window:
     /// large enough that the live sequence-number span — the 8192-seq
@@ -293,7 +263,6 @@ impl Default for CoreConfig {
             code_base: 0x0040_0000,
             mode: CoreMode::Baseline,
             scheduler: SchedulerKind::default(),
-            boundary: BoundaryKind::default(),
             instr_pool_slots: 0,
         }
     }
@@ -386,9 +355,6 @@ mod tests {
         let c = CoreConfig::default();
         assert_eq!(c.scheduler, SchedulerKind::EventDriven);
         assert_eq!(c.mem_model, MemModelKind::EventDriven);
-        assert_eq!(c.boundary, BoundaryKind::RequestResponse);
-        assert_eq!(BoundaryKind::RequestResponse.as_str(), "msg");
-        assert_eq!(BoundaryKind::ReferenceDirect.as_str(), "direct");
         assert_eq!(
             c.pool_slots(),
             16384,

@@ -9,11 +9,11 @@
 //! workload and mode.
 
 use crate::cdf_engine::{CdfEngine, CmqEntry, DbqEntry};
-use crate::config::{BoundaryKind, CoreConfig, CoreMode, SchedulerKind};
+use crate::config::{CoreConfig, CoreMode, SchedulerKind};
 use crate::fill_buffer::FbEntry;
 use crate::frontend::{DecodePipe, FetchedUop};
 use crate::lsq::{ForwardResult, LqEntry, Lsq, SqEntry};
-use crate::memport::{MemSide, MessagePort};
+use crate::memport::MemSide;
 use crate::partition::{PartitionController, Resize};
 use crate::pre::RunaheadState;
 use crate::regfile::{Rat, RatKind, RegFile, RenameLog, RenameLogEntry};
@@ -177,25 +177,18 @@ pub struct Core<'p> {
 }
 
 impl<'p> Core<'p> {
-    /// Builds a core over `program` with the given initial data memory.
-    /// The private memory system sits behind the boundary selected by
-    /// `cfg.boundary` (request/response by default; the direct-call
-    /// reference for equivalence runs).
+    /// Builds a core over `program` with the given initial data memory and
+    /// its own private memory hierarchy.
     pub fn new(program: &'p Program, mem: MemoryImage, cfg: CoreConfig) -> Core<'p> {
         let hierarchy = MemoryHierarchy::with_model(cfg.mem.clone(), cfg.mem_model);
-        let memsys = match cfg.boundary {
-            BoundaryKind::RequestResponse => MemSide::Message(MessagePort::new(hierarchy)),
-            BoundaryKind::ReferenceDirect => MemSide::Direct(hierarchy),
-        };
-        Core::with_memsys(program, mem, cfg, memsys)
+        Core::with_memsys(program, mem, cfg, MemSide::Private(Box::new(hierarchy)))
     }
 
     /// Builds core `core_id` of a multi-core system: its memory requests go
     /// to `sys`, the [`MultiCoreMemory`] it shares with its co-runners
     /// (private L1 slice, shared LLC/MSHR pool/DRAM). `cfg.mem` geometry
-    /// must match the one `sys` was built with; `cfg.boundary`/`cfg.mem_model`
-    /// are ignored (the shared system is event-driven message-passing by
-    /// construction).
+    /// must match the one `sys` was built with; `cfg.mem_model` is ignored
+    /// (the shared system is event-driven by construction).
     pub fn new_shared(
         program: &'p Program,
         mem: MemoryImage,
@@ -733,7 +726,7 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// Memory-port envelope: times the synchronous [`MemSide::access`] call
+    /// One demand access: times the synchronous [`MemSide::access`] call
     /// under [`crate::prof::Subsystem::MemPort`] when profiling is on.
     #[inline]
     fn mem_access(

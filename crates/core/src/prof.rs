@@ -8,8 +8,8 @@
 //! [`CdfDiagnostics`](crate::diag::CdfDiagnostics) — that wraps each
 //! pipeline stage of the per-cycle loop in a monotonic timer and counts
 //! heap churn per stage through [`CountingAlloc`]. Subsystem boundaries
-//! (scheduler wakeup/select, the MSHR/MLP completion heaps, the memport
-//! envelope, the shared LLC) get their own timers, nested *inside* the
+//! (scheduler wakeup/select, the MSHR/MLP completion heaps, the
+//! core↔memory port, the shared LLC) get their own timers, nested *inside* the
 //! stage timers, so the stage rows alone answer the totality question.
 //!
 //! # Overhead guarantee
@@ -92,8 +92,8 @@ pub enum Subsystem {
     SchedWake,
     /// Event-driven scheduler select loop.
     SchedSelect,
-    /// The core↔memory boundary envelope (demand accesses, runahead
-    /// prefetches, MLP samples through [`MemSide`](crate::MemSide)).
+    /// The core↔memory port (demand accesses, runahead prefetches, MLP
+    /// samples through [`MemSide`](crate::MemSide)).
     MemPort,
     /// MSHR completion-heap operations (from `cdf-mem`).
     MshrHeap,

@@ -41,8 +41,8 @@
 use cdf_core::{CoreConfig, TelemetryConfig};
 use cdf_sim::{
     accounting_table, profile_json, profile_table, profile_trace_json, run_explain, run_sweep,
-    simulate, table1_text, telemetry_json, trace_events_json, try_simulate_workload_profiled,
-    try_simulate_workload_telemetry, EvalConfig, ExplainConfig, Mechanism, SweepConfig,
+    run_workload, simulate, table1_text, telemetry_json, trace_events_json, EvalConfig,
+    ExplainConfig, Mechanism, RunOutput, SweepConfig,
 };
 use cdf_workloads::registry;
 use std::process::exit;
@@ -121,8 +121,8 @@ fn usage() -> ! {
          --threads N        worker threads (default: all hardware threads)\n  \
          --mem              compare the memory-model pair (event-driven vs lazy\n                     \
          reference) instead of the scheduler pair\n  \
-         --boundary         compare the core-memory boundary pair (request/\n                     \
-         response vs direct-call reference)\n  \
+         --boundary         compare a private memory hierarchy with core 0 of a\n                     \
+         one-core shared memory system\n  \
          --report FILE      write the cdf-equiv/1 JSON report to FILE\n\nmix options:\n  \
          --workloads a,b    one workload per core, in core order (2+ cores)\n  \
          --mechs a,b        one mechanism per core, or one for all (default cdf)\n  \
@@ -295,6 +295,10 @@ fn parse_eval(args: &[String]) -> EvalConfig {
         match a.as_str() {
             "--rob" => {
                 let rob: usize = val("--rob").parse().unwrap_or_else(|_| usage());
+                if rob == 0 {
+                    eprintln!("--rob must be at least 1 (a zero-entry ROB never retires)");
+                    usage();
+                }
                 cfg.core = CoreConfig {
                     mode: cfg.core.mode.clone(),
                     ..cfg.core.clone().with_scaled_window(rob)
@@ -380,9 +384,13 @@ fn measure_with_telemetry(
         eprintln!("{e}");
         exit(1)
     });
-    match try_simulate_workload_telemetry(&w, mech, cfg) {
-        Ok((m, Some(tel))) => (m, tel),
-        Ok((_, None)) => unreachable!("telemetry was enabled in the config"),
+    match run_workload(&w, mech.mode(), mech.label(), cfg, false) {
+        Ok(RunOutput {
+            measurement,
+            telemetry: Some(tel),
+            ..
+        }) => (measurement, tel),
+        Ok(_) => unreachable!("telemetry was enabled in the config"),
         Err(e) => {
             eprintln!("{e}");
             exit(1)
@@ -409,6 +417,17 @@ fn run_report_command(args: &[String]) {
 
 fn run_telemetry_command(args: &[String]) {
     let name = args.first().cloned().unwrap_or_else(|| usage());
+    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
+        .iter()
+        .copied()
+        .chain([
+            ("--mech", true),
+            ("--interval", true),
+            ("--out", true),
+            ("--trace-out", true),
+        ])
+        .collect();
+    reject_unknown_flags(&args[1..], &allowed);
     let mech = parse_mech(args);
     let mut cfg = parse_eval(&args[1..]);
     let mut tcfg = TelemetryConfig::default();
@@ -469,10 +488,12 @@ fn run_profile_command(args: &[String]) {
         eprintln!("{e}");
         exit(1)
     });
-    let (m, p) = try_simulate_workload_profiled(&w, mech, &cfg).unwrap_or_else(|e| {
+    let out = run_workload(&w, mech.mode(), mech.label(), &cfg, true).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(1)
     });
+    let m = out.measurement;
+    let p = out.profile.expect("profiling was requested");
     print_measurement(&m);
     println!();
     print!("{}", profile_table(&p));
@@ -578,6 +599,22 @@ fn run_explain_command(args: &[String]) {
 }
 
 fn run_sweep_command(args: &[String]) {
+    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
+        .iter()
+        .copied()
+        .chain([
+            ("--workloads", true),
+            ("--mechs", true),
+            ("--threads", true),
+            ("--telemetry", true),
+            ("--explain", false),
+            ("--profile", false),
+            ("--record", false),
+            ("--store", true),
+            ("--out", true),
+        ])
+        .collect();
+    reject_unknown_flags(args, &allowed);
     let mut eval = parse_eval(args);
     if let Some(i) = flag_value(args, "--telemetry") {
         eval.telemetry = Some(TelemetryConfig {
@@ -868,6 +905,7 @@ fn run_compare_command(args: &[String]) {
 
 /// Legacy form: base/cdf/pre mechanism table for one workload.
 fn run_compare_workload(name: &str, args: &[String]) {
+    reject_unknown_flags(args, SIZING_FLAGS);
     let cfg = parse_eval(args);
     let base = cdf_sim::try_simulate(name, Mechanism::Baseline, &cfg).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -1150,6 +1188,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(|s| s.as_str()) {
         Some("list") => {
+            reject_unknown_flags(&args[1..], &[]);
             for name in registry::NAMES {
                 let w = registry::by_name(name, &cdf_workloads::GenConfig::test()).expect("known");
                 println!(
@@ -1159,6 +1198,7 @@ fn main() {
             }
         }
         Some("table1") => {
+            reject_unknown_flags(&args[1..], SIZING_FLAGS);
             print!("{}", table1_text(&parse_eval(&args[1..]).core));
         }
         Some("run") => {

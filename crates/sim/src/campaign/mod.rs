@@ -352,7 +352,7 @@ pub fn run_campaign_cell(spec: &CampaignSpec, p: &CellParams) -> CellRecord {
             let m = p.mechanism.expect("sweep cells carry a mechanism");
             let eval = cell_eval(spec, p);
             let mode = p.point.apply_mode(m.mode());
-            let cell = run_cell_mode(&p.workload, m, mode, &eval);
+            let cell = run_cell_mode(&p.workload, m, mode, &eval, false);
             match cell.result {
                 Ok(measurement) => CellOutcome::Measured {
                     measurement,

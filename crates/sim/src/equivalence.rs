@@ -1,12 +1,13 @@
 //! Implementation-equivalence harness: proves a hot-path rewrite
 //! produces **bit-identical** results to the reference implementation it
 //! replaced. Three axes are covered ([`EquivAxis`]): the wakeup/select
-//! scheduler ([`SchedulerKind`], PR 4), the memory-hierarchy bookkeeping
-//! ([`MemModelKind`], PR 6), and the request/response core↔memory
-//! boundary ([`BoundaryKind`], PR 9).
+//! scheduler ([`SchedulerKind`]), the memory-hierarchy bookkeeping
+//! ([`MemModelKind`]), and the core↔memory boundary: a private hierarchy
+//! vs core 0 of a one-core [`MultiCore`].
 //!
-//! The core keeps both implementations of each axis compiled and
-//! runtime-selectable; this module drives them against each other two ways:
+//! The core keeps both scheduler and memory-model implementations compiled
+//! and runtime-selectable, and the harness builds either memory topology;
+//! this module drives each pair against each other two ways:
 //!
 //! 1. **Fuzz-seed lockstep** ([`run_equivalence`]): every seed builds one
 //!    random program, which runs to completion under *both* variants of
@@ -19,19 +20,26 @@
 //!    windows over the registry kernels, compared [`Measurement`] for
 //!    [`Measurement`] (which folds in DRAM traffic and energy, so a
 //!    variant that perturbed the memory-system event order would show up
-//!    here even if the retirement stream matched).
+//!    here even if the retirement stream matched). A shared core has no
+//!    private hierarchy to build a `Measurement` from, so the boundary
+//!    axis instead runs the same bounded window on both sides and compares
+//!    the [`CoreStats`], the energy report and the memory traffic.
 //!
 //! Reports serialize as `cdf-equiv/1` JSON for the `cdf-sim equiv`
 //! subcommand and the CI equivalence job.
 //!
 //! [`OracleLockstep`]: cdf_core::OracleLockstep
+//! [`Measurement`]: crate::Measurement
 
 use crate::fuzz::{run_lockstep_full, LockstepOutcome};
 use crate::json::{field, Json};
-use crate::run::{try_simulate, EvalConfig, Measurement, Mechanism};
+use crate::run::{try_simulate, EvalConfig, Mechanism};
 use crate::sweep::parallel_map;
-use cdf_core::{BoundaryKind, CoreStats, MemModelKind, SchedulerKind};
+use cdf_core::{Core, CoreConfig, CoreStats, DramStats, MemModelKind, MultiCore, SchedulerKind};
+use cdf_energy::EnergyReport;
+use cdf_mem::MemStats;
 use cdf_workloads::fuzz::FuzzSpec;
+use cdf_workloads::{registry, Workload};
 
 /// Schema tag of the equivalence report document.
 pub use crate::schema::EQUIV as EQUIV_SCHEMA;
@@ -48,9 +56,22 @@ pub enum EquivAxis {
     /// Event-driven memory-hierarchy bookkeeping vs the lazy rescanning
     /// reference ([`MemModelKind`]).
     MemModel,
-    /// Request/response core↔memory boundary vs the synchronous direct
-    /// call ([`BoundaryKind`]).
+    /// A private memory hierarchy vs core 0 of a one-core
+    /// [`MultiCore`] over the shared memory system.
     Boundary,
+}
+
+/// One side of an equivalence pair: the implementation choices a run is
+/// made with. The default is the production single-core configuration.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct EquivVariant {
+    /// Wakeup/select implementation.
+    pub scheduler: SchedulerKind,
+    /// Outstanding-miss bookkeeping implementation.
+    pub mem_model: MemModelKind,
+    /// Run as core 0 of a one-core [`MultiCore`] instead of on a private
+    /// hierarchy.
+    pub shared: bool,
 }
 
 impl EquivAxis {
@@ -63,27 +84,26 @@ impl EquivAxis {
         }
     }
 
-    /// The two `(scheduler, mem model, boundary)` configurations compared:
-    /// the default/new variant first, the reference second.
-    pub fn pair(self) -> [(SchedulerKind, MemModelKind, BoundaryKind); 2] {
-        let d = (
-            SchedulerKind::default(),
-            MemModelKind::default(),
-            BoundaryKind::default(),
-        );
+    /// The two variants compared: the default/new one first, the reference
+    /// second.
+    pub fn pair(self) -> [EquivVariant; 2] {
+        let d = EquivVariant::default();
         match self {
             EquivAxis::Scheduler => [
-                (SchedulerKind::EventDriven, d.1, d.2),
-                (SchedulerKind::ReferenceScan, d.1, d.2),
+                d,
+                EquivVariant {
+                    scheduler: SchedulerKind::ReferenceScan,
+                    ..d
+                },
             ],
             EquivAxis::MemModel => [
-                (d.0, MemModelKind::EventDriven, d.2),
-                (d.0, MemModelKind::ReferenceLazy, d.2),
+                d,
+                EquivVariant {
+                    mem_model: MemModelKind::ReferenceLazy,
+                    ..d
+                },
             ],
-            EquivAxis::Boundary => [
-                (d.0, d.1, BoundaryKind::RequestResponse),
-                (d.0, d.1, BoundaryKind::ReferenceDirect),
-            ],
+            EquivAxis::Boundary => [d, EquivVariant { shared: true, ..d }],
         }
     }
 }
@@ -214,9 +234,15 @@ impl EquivReport {
 }
 
 /// Renders the first differing [`CoreStats`] field between two runs, or
-/// `None` when they are identical. Works off the pretty `Debug` rendering so
-/// it stays complete as fields are added.
+/// `None` when they are identical.
 pub fn stats_divergence(a: &CoreStats, b: &CoreStats) -> Option<String> {
+    divergence("stats field", a, b)
+}
+
+/// Renders the first line where the pretty `Debug` renderings of `a` and `b`
+/// differ, or `None` when they are equal. Working off `Debug` keeps it
+/// complete as fields are added.
+fn divergence<T: PartialEq + std::fmt::Debug>(what: &str, a: &T, b: &T) -> Option<String> {
     if a == b {
         return None;
     }
@@ -225,13 +251,13 @@ pub fn stats_divergence(a: &CoreStats, b: &CoreStats) -> Option<String> {
     for (la, lb) in fa.lines().zip(fb.lines()) {
         if la != lb {
             return Some(format!(
-                "stats field diverged: event `{}` vs scan `{}`",
+                "{what} diverged: default `{}` vs reference `{}`",
                 la.trim().trim_end_matches(','),
                 lb.trim().trim_end_matches(',')
             ));
         }
     }
-    Some("stats differ but Debug renderings agree (non-Debug field?)".to_string())
+    Some(format!("{what} differs but Debug renderings agree"))
 }
 
 /// Runs one fuzz seed under every mechanism with both variants of `axis`
@@ -242,12 +268,12 @@ pub fn check_seed(
     axis: EquivAxis,
 ) -> (u64, Vec<EquivMismatch>) {
     let fp = FuzzSpec::from_seed(seed).build();
-    let [(ev_sched, ev_mem, ev_bound), (sc_sched, sc_mem, sc_bound)] = axis.pair();
+    let [ev_variant, sc_variant] = axis.pair();
     let mut checked_total = 0u64;
     let mut mismatches = Vec::new();
     for &mech in mechanisms {
-        let (ev, ev_stats) = run_lockstep_full(&fp, mech, ev_sched, ev_mem, ev_bound);
-        let (sc, sc_stats) = run_lockstep_full(&fp, mech, sc_sched, sc_mem, sc_bound);
+        let (ev, ev_stats) = run_lockstep_full(&fp, mech, ev_variant);
+        let (sc, sc_stats) = run_lockstep_full(&fp, mech, sc_variant);
         let mut fail = |detail: String| {
             mismatches.push(EquivMismatch {
                 seed,
@@ -324,29 +350,10 @@ pub fn run_equivalence(cfg: &EquivConfig) -> EquivReport {
     }
 }
 
-/// Renders the first differing [`Measurement`] field, or `None` on identity.
-fn measurement_divergence(a: &Measurement, b: &Measurement) -> Option<String> {
-    if a == b {
-        return None;
-    }
-    let fa = format!("{a:#?}");
-    let fb = format!("{b:#?}");
-    for (la, lb) in fa.lines().zip(fb.lines()) {
-        if la != lb {
-            return Some(format!(
-                "measurement diverged: event `{}` vs scan `{}`",
-                la.trim().trim_end_matches(','),
-                lb.trim().trim_end_matches(',')
-            ));
-        }
-    }
-    Some("measurements differ".to_string())
-}
-
 /// Runs full warmup+measure windows over `workloads × mechanisms` under both
-/// schedulers and compares the complete [`Measurement`]s. Returns every
-/// disagreement (empty = bit-identical end to end, including DRAM traffic
-/// and energy).
+/// schedulers and compares the complete
+/// [`Measurement`](crate::Measurement)s. Returns every disagreement (empty =
+/// bit-identical end to end, including DRAM traffic and energy).
 pub fn workload_equivalence(
     workloads: &[&str],
     mechanisms: &[Mechanism],
@@ -363,41 +370,86 @@ pub fn workload_equivalence_axis(
     cfg: &EvalConfig,
     axis: EquivAxis,
 ) -> Vec<EquivMismatch> {
-    let [(ev_sched, ev_mem, ev_bound), (sc_sched, sc_mem, sc_bound)] = axis.pair();
-    let mut event_cfg = cfg.clone();
-    event_cfg.core.scheduler = ev_sched;
-    event_cfg.core.mem_model = ev_mem;
-    event_cfg.core.boundary = ev_bound;
-    let mut scan_cfg = cfg.clone();
-    scan_cfg.core.scheduler = sc_sched;
-    scan_cfg.core.mem_model = sc_mem;
-    scan_cfg.core.boundary = sc_bound;
+    let [ev, sc] = axis.pair();
     let jobs: Vec<(&str, Mechanism)> = workloads
         .iter()
         .flat_map(|&w| mechanisms.iter().map(move |&m| (w, m)))
         .collect();
     let results = parallel_map(&jobs, 0, |&(w, m)| {
-        let ev = try_simulate(w, m, &event_cfg);
-        let sc = try_simulate(w, m, &scan_cfg);
-        match (ev, sc) {
-            (Ok(a), Ok(b)) => measurement_divergence(&a, &b).map(|d| EquivMismatch {
-                seed: cfg.gen.seed,
-                mechanism: format!("{w}/{}", m.label()),
-                detail: d,
-            }),
-            (Err(e), _) => Some(EquivMismatch {
-                seed: cfg.gen.seed,
-                mechanism: format!("{w}/{}", m.label()),
-                detail: format!("event variant window failed: {e}"),
-            }),
-            (_, Err(e)) => Some(EquivMismatch {
-                seed: cfg.gen.seed,
-                mechanism: format!("{w}/{}", m.label()),
-                detail: format!("reference variant window failed: {e}"),
-            }),
-        }
+        let detail = if axis == EquivAxis::Boundary {
+            match registry::lookup(w, &cfg.gen) {
+                Ok(workload) => divergence(
+                    "bounded window",
+                    &bounded_window(&workload, m, cfg, false),
+                    &bounded_window(&workload, m, cfg, true),
+                ),
+                Err(e) => Some(e.to_string()),
+            }
+        } else {
+            match (
+                try_simulate(w, m, &with_variant(cfg, ev)),
+                try_simulate(w, m, &with_variant(cfg, sc)),
+            ) {
+                (Ok(a), Ok(b)) => divergence("measurement", &a, &b),
+                (Err(e), _) => Some(format!("event variant window failed: {e}")),
+                (_, Err(e)) => Some(format!("reference variant window failed: {e}")),
+            }
+        };
+        detail.map(|detail| EquivMismatch {
+            seed: cfg.gen.seed,
+            mechanism: format!("{w}/{}", m.label()),
+            detail,
+        })
     });
     results.into_iter().flatten().collect()
+}
+
+/// `cfg` with the core template switched to `variant`'s implementations.
+fn with_variant(cfg: &EvalConfig, variant: EquivVariant) -> EvalConfig {
+    let mut out = cfg.clone();
+    out.core.scheduler = variant.scheduler;
+    out.core.mem_model = variant.mem_model;
+    out
+}
+
+/// What the boundary axis compares for one workload window.
+#[derive(PartialEq, Debug)]
+struct BoundedWindow {
+    stats: CoreStats,
+    energy: EnergyReport,
+    mem: MemStats,
+    dram: DramStats,
+}
+
+/// Runs `w` for the warmup plus measurement instruction count (within the
+/// watchdog budget) on a private core or, when `shared`, on core 0 of a
+/// one-core [`MultiCore`].
+fn bounded_window(w: &Workload, m: Mechanism, cfg: &EvalConfig, shared: bool) -> BoundedWindow {
+    let core_cfg = CoreConfig {
+        mode: m.mode(),
+        ..cfg.core.clone()
+    };
+    let target = cfg.warmup_instructions + cfg.measure_instructions;
+    let budget = cfg.max_cycles.unwrap_or(u64::MAX);
+    if shared {
+        let mut mc = MultiCore::new(vec![(&w.program, w.memory.clone(), core_cfg)]);
+        let stats = mc.run(target, budget).swap_remove(0).stats;
+        let sys = mc.shared().borrow();
+        BoundedWindow {
+            stats,
+            energy: mc.cores()[0].energy_report(),
+            mem: *sys.core_stats(0),
+            dram: *sys.dram_stats(),
+        }
+    } else {
+        let mut core = Core::new(&w.program, w.memory.clone(), core_cfg);
+        BoundedWindow {
+            stats: core.run_bounded(target, budget),
+            energy: core.energy_report(),
+            mem: *core.hierarchy().stats(),
+            dram: *core.hierarchy().dram_stats(),
+        }
+    }
 }
 
 #[cfg(test)]

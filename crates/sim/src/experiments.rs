@@ -9,9 +9,7 @@
 //! [`Sweep`] so bench targets can emit the stamped JSON records.
 
 use crate::report::{geomean, pct_delta, Table};
-use crate::run::{
-    simulate_workload, try_simulate_workload_mode, EvalConfig, Measurement, Mechanism,
-};
+use crate::run::{run_workload, EvalConfig, Measurement, Mechanism};
 use crate::sweep::{parallel_map, run_sweep, Sweep, SweepConfig};
 use cdf_workloads::registry;
 
@@ -559,9 +557,13 @@ impl SensitivityCdfStructures {
             let jobs: Vec<&str> = names.to_vec();
             let speedups: Vec<f64> = parallel_map(&jobs, 0, |&name| {
                 let w = registry::lookup(name, &cfg.gen).unwrap_or_else(|e| panic!("{e}"));
-                let base = simulate_workload(&w, Mechanism::Baseline, cfg);
-                let m = try_simulate_workload_mode(&w, CoreMode::Cdf(cdf_cfg.clone()), &label, cfg)
-                    .unwrap_or_else(|e| panic!("sensitivity ({name}, {label}): {e}"));
+                let run = |mode: CoreMode, label: &str| {
+                    run_workload(&w, mode, label, cfg, false)
+                        .unwrap_or_else(|e| panic!("sensitivity ({name}, {label}): {e}"))
+                        .measurement
+                };
+                let base = run(Mechanism::Baseline.mode(), Mechanism::Baseline.label());
+                let m = run(CoreMode::Cdf(cdf_cfg.clone()), &label);
                 m.ipc / base.ipc
             });
             rows.push((label, geomean(&speedups)));

@@ -22,7 +22,7 @@
 use crate::error::SimError;
 use crate::json::{field, Json};
 use crate::report::Table;
-use crate::run::{try_simulate_workload_diagnostics, EvalConfig, Measurement, Mechanism};
+use crate::run::{run_workload, EvalConfig, Measurement, Mechanism, RunOutput};
 use crate::sweep::{measurement_json, panic_message, parallel_map};
 use cdf_core::{CdfDiagnostics, ChainRecord, Coverage, Histogram};
 use cdf_workloads::registry;
@@ -122,10 +122,14 @@ pub fn explain_cell(workload: &str, mechanism: Mechanism, eval: &EvalConfig) -> 
     let result = match registry::lookup(workload, &eval.gen) {
         Err(e) => Err(SimError::from(e)),
         Ok(w) => match catch_unwind(AssertUnwindSafe(|| {
-            try_simulate_workload_diagnostics(&w, mechanism, &eval)
+            run_workload(&w, mechanism.mode(), mechanism.label(), &eval, false)
         })) {
-            Ok(Ok((m, Some(d)))) => Ok((m, d)),
-            Ok(Ok((_, None))) => unreachable!("diagnostics were enabled in the config"),
+            Ok(Ok(RunOutput {
+                measurement,
+                diagnostics: Some(d),
+                ..
+            })) => Ok((measurement, d)),
+            Ok(Ok(_)) => unreachable!("diagnostics were enabled in the config"),
             Ok(Err(e)) => Err(e),
             Err(payload) => Err(SimError::Panicked(panic_message(payload))),
         },

@@ -16,13 +16,12 @@
 //! into a corpus directory as a self-contained `cdf-fuzz-case/1` document
 //! that [`spec_from_json`] turns back into the exact failing program.
 
+use crate::equivalence::EquivVariant;
 use crate::error::SimError;
 use crate::json::{field, Json};
 use crate::run::Mechanism;
 use crate::sweep::parallel_map;
-use cdf_core::{
-    BoundaryKind, Core, CoreConfig, CoreStats, MemModelKind, OracleLockstep, SchedulerKind,
-};
+use cdf_core::{Core, CoreConfig, CoreStats, MultiCore, OracleLockstep};
 use cdf_isa::Executor;
 use cdf_workloads::fuzz::{FuzzProgram, FuzzSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -156,52 +155,39 @@ impl LockstepOutcome {
 /// Runs one generated program on one mechanism with per-retired-uop oracle
 /// checking, a final architectural state comparison, and panic isolation.
 pub fn run_lockstep(fp: &FuzzProgram, mechanism: Mechanism) -> LockstepOutcome {
-    run_lockstep_with(fp, mechanism, SchedulerKind::default()).0
+    run_lockstep_full(fp, mechanism, EquivVariant::default()).0
 }
 
-/// [`run_lockstep`] with an explicit scheduler implementation, also returning
-/// the final [`CoreStats`] when the run did not panic. This is the primitive
-/// the scheduler-equivalence harness builds on: running the same program
-/// under [`SchedulerKind::EventDriven`] and [`SchedulerKind::ReferenceScan`]
-/// must produce bit-identical stats and retirement digests.
-pub fn run_lockstep_with(
-    fp: &FuzzProgram,
-    mechanism: Mechanism,
-    scheduler: SchedulerKind,
-) -> (LockstepOutcome, Option<CoreStats>) {
-    run_lockstep_full(
-        fp,
-        mechanism,
-        scheduler,
-        MemModelKind::default(),
-        BoundaryKind::default(),
-    )
-}
-
-/// The fully explicit lockstep primitive: scheduler, memory-model, and
-/// core↔memory boundary implementation are all chosen by the caller. The
-/// equivalence harness pins two axes to their defaults while flipping the
-/// third, so each campaign isolates a single implementation swap.
+/// [`run_lockstep`] under an explicit implementation [`EquivVariant`], also
+/// returning the final [`CoreStats`] when the run did not panic. This is the
+/// primitive the equivalence harness builds on: the two variants of an
+/// [`EquivAxis`](crate::EquivAxis) must produce bit-identical stats and
+/// retirement digests.
 pub fn run_lockstep_full(
     fp: &FuzzProgram,
     mechanism: Mechanism,
-    scheduler: SchedulerKind,
-    mem_model: MemModelKind,
-    boundary: BoundaryKind,
+    variant: EquivVariant,
 ) -> (LockstepOutcome, Option<CoreStats>) {
     let result = catch_unwind(AssertUnwindSafe(|| {
         let checker = OracleLockstep::new(&fp.program, fp.memory.clone());
         let log = checker.log();
         let cfg = CoreConfig {
             mode: mechanism.mode(),
-            scheduler,
-            mem_model,
-            boundary,
+            scheduler: variant.scheduler,
+            mem_model: variant.mem_model,
             ..CoreConfig::default()
         };
-        let mut core = Core::new(&fp.program, fp.memory.clone(), cfg);
-        core.attach_retire_observer(Box::new(checker));
-        let stats = core.run(fp.fuel + 8);
+        let fuel = fp.fuel + 8;
+        let (stats, arch) = if variant.shared {
+            let mut mc = MultiCore::new(vec![(&fp.program, fp.memory.clone(), cfg)]);
+            mc.cores_mut()[0].attach_retire_observer(Box::new(checker));
+            let stats = mc.run(fuel, u64::MAX).swap_remove(0).stats;
+            (stats, mc.cores()[0].arch_state())
+        } else {
+            let mut core = Core::new(&fp.program, fp.memory.clone(), cfg);
+            core.attach_retire_observer(Box::new(checker));
+            (core.run(fuel), core.arch_state())
+        };
         let log = log.borrow();
         if let Some(d) = &log.divergence {
             return (
@@ -209,7 +195,7 @@ pub fn run_lockstep_full(
                     kind: FailureKind::Divergence,
                     detail: d.to_string(),
                 },
-                Some(stats.clone()),
+                Some(stats),
             );
         }
         if !stats.halted {
@@ -221,20 +207,20 @@ pub fn run_lockstep_full(
                         stats.retired, stats.cycles
                     ),
                 },
-                Some(stats.clone()),
+                Some(stats),
             );
         }
         let mut oracle = Executor::new(&fp.program, fp.memory.clone());
         oracle
             .run(fp.fuel)
             .expect("generated program halts within fuel");
-        if let Some(diff) = state_diff(&core.arch_state(), oracle.state()) {
+        if let Some(diff) = state_diff(&arch, oracle.state()) {
             return (
                 LockstepOutcome::Fail {
                     kind: FailureKind::FinalState,
                     detail: diff,
                 },
-                Some(stats.clone()),
+                Some(stats),
             );
         }
         (
@@ -242,7 +228,7 @@ pub fn run_lockstep_full(
                 digest: log.digest,
                 checked: log.checked,
             },
-            Some(stats.clone()),
+            Some(stats),
         )
     }));
     result.unwrap_or_else(|payload| {

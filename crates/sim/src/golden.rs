@@ -15,7 +15,7 @@
 use crate::json::{field, Json};
 use crate::run::Mechanism;
 use crate::sweep::parallel_map;
-use cdf_core::{BoundaryKind, Core, CoreConfig, CoreStats, MemModelKind, RobMix};
+use cdf_core::{Core, CoreConfig, CoreStats, MemModelKind, MultiCore, RobMix};
 use cdf_workloads::{registry, GenConfig};
 
 /// Schema tag of the golden snapshot document.
@@ -40,11 +40,11 @@ pub struct GoldenConfig {
     /// snapshot is collected with the default; collecting with the other
     /// kind and diffing is the grid-level mem-equivalence proof.
     pub mem_model: MemModelKind,
-    /// Core↔memory boundary each cell runs under (tagged request/response
-    /// messages vs direct calls). Same proof structure as
-    /// [`mem_model`](Self::mem_model): collect under the non-default
-    /// boundary, diff against the blessed snapshot.
-    pub boundary: BoundaryKind,
+    /// Run each cell as core 0 of a one-core [`MultiCore`] instead of on a
+    /// private hierarchy. Same proof structure as
+    /// [`mem_model`](Self::mem_model): collect shared, diff against the
+    /// private grid.
+    pub shared: bool,
 }
 
 impl Default for GoldenConfig {
@@ -61,7 +61,7 @@ impl Default for GoldenConfig {
             cycle_budget: 2_000_000,
             threads: 0,
             mem_model: MemModelKind::default(),
-            boundary: BoundaryKind::default(),
+            shared: false,
         }
     }
 }
@@ -91,11 +91,18 @@ pub fn collect(cfg: &GoldenConfig) -> Vec<GoldenCell> {
         let core_cfg = CoreConfig {
             mode: m.mode(),
             mem_model: cfg.mem_model,
-            boundary: cfg.boundary,
             ..CoreConfig::default()
         };
-        let mut core = Core::new(&workload.program, workload.memory.clone(), core_cfg);
-        let stats = core.run_bounded(cfg.max_instructions, cfg.cycle_budget);
+        let program = &workload.program;
+        let memory = workload.memory.clone();
+        let stats = if cfg.shared {
+            let mut mc = MultiCore::new(vec![(program, memory, core_cfg)]);
+            mc.run(cfg.max_instructions, cfg.cycle_budget)
+                .swap_remove(0)
+                .stats
+        } else {
+            Core::new(program, memory, core_cfg).run_bounded(cfg.max_instructions, cfg.cycle_budget)
+        };
         GoldenCell {
             workload: w.clone(),
             mechanism: m.label().to_string(),
@@ -270,7 +277,8 @@ pub fn diff_golden(current: &[GoldenCell], blessed: &Json) -> Vec<String> {
                         "{}/{}: {}",
                         c.workload,
                         c.mechanism,
-                        d.replace("event ", "current ").replace("scan ", "blessed ")
+                        d.replace("default ", "current ")
+                            .replace("reference ", "blessed ")
                     ));
                 }
             }

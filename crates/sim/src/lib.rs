@@ -85,7 +85,7 @@ pub use compare::{
 };
 pub use equivalence::{
     run_equivalence, workload_equivalence, workload_equivalence_axis, EquivAxis, EquivConfig,
-    EquivMismatch, EquivReport, EQUIV_SCHEMA,
+    EquivMismatch, EquivReport, EquivVariant, EQUIV_SCHEMA,
 };
 pub use error::{SimError, WatchdogPhase};
 pub use explain::{
@@ -93,9 +93,8 @@ pub use explain::{
     EXPLAIN_SCHEMA,
 };
 pub use fuzz::{
-    minimize_spec, minimize_with, run_fuzz, run_lockstep, run_lockstep_full, run_lockstep_with,
-    FailureKind, FuzzConfig, FuzzFailure, FuzzReport, LockstepOutcome, FUZZ_CASE_SCHEMA,
-    FUZZ_SCHEMA,
+    minimize_spec, minimize_with, run_fuzz, run_lockstep, run_lockstep_full, FailureKind,
+    FuzzConfig, FuzzFailure, FuzzReport, LockstepOutcome, FUZZ_CASE_SCHEMA, FUZZ_SCHEMA,
 };
 pub use golden::{
     collect as collect_golden, diff_golden, golden_to_json, GoldenConfig, GOLDEN_SCHEMA,
@@ -109,10 +108,7 @@ pub use prof::{
 };
 pub use provenance::{provenance_from_json, provenance_json};
 pub use run::{
-    simulate, simulate_workload, try_simulate, try_simulate_profiled, try_simulate_workload,
-    try_simulate_workload_diagnostics, try_simulate_workload_mode, try_simulate_workload_observed,
-    try_simulate_workload_observed_profiled, try_simulate_workload_profiled,
-    try_simulate_workload_telemetry, EvalConfig, Measurement, Mechanism,
+    run_workload, simulate, try_simulate, EvalConfig, Measurement, Mechanism, RunOutput,
 };
 pub use store::{
     next_run_id, record_from_json, record_json, record_sweep, records_for_run, records_from_cells,
@@ -121,7 +117,7 @@ pub use store::{
     TelemetrySummary, DEFAULT_STORE_PATH, RESULT_SCHEMA,
 };
 pub use sweep::{
-    eval_config_hash, run_cell, run_cell_profiled, run_sweep, Sweep, SweepCell, SweepConfig,
+    eval_config_hash, run_cell, run_cell_mode, run_sweep, Sweep, SweepCell, SweepConfig,
 };
 pub use table1::table1_text;
 pub use telemetry::{accounting_table, telemetry_json, trace_events_json, TELEMETRY_SCHEMA};

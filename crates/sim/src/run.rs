@@ -119,14 +119,14 @@ pub struct EvalConfig {
     /// accounting, event sink). `None` — the default — runs zero telemetry
     /// code and produces bit-identical [`Measurement`]s to builds without
     /// the telemetry layer; `Some` attaches a collector to every simulated
-    /// core, retrievable via [`try_simulate_workload_telemetry`]. Telemetry
+    /// core, returned in [`RunOutput::telemetry`]. Telemetry
     /// never perturbs the measured stats either way (asserted by tests).
     pub telemetry: Option<TelemetryConfig>,
     /// Criticality-provenance diagnostics (chain lifecycles, CUC
     /// coverage/accuracy, lead-time histograms — see [`cdf_core::diag`]).
     /// `false` — the default — runs zero observation code; `true` attaches a
-    /// [`CdfDiagnostics`] collector to every simulated core, retrievable via
-    /// [`try_simulate_workload_diagnostics`]. Diagnostics never perturb the
+    /// [`CdfDiagnostics`] collector to every simulated core, returned in
+    /// [`RunOutput::diagnostics`]. Diagnostics never perturb the
     /// measured stats either way (asserted by tests).
     pub diagnostics: bool,
 }
@@ -174,7 +174,7 @@ pub struct Measurement {
     /// Workload name.
     pub workload: String,
     /// Mechanism label (a custom label for non-standard configurations, see
-    /// [`try_simulate_workload_mode`]).
+    /// [`run_workload`]).
     pub mechanism: String,
     /// Instructions retired in the window.
     pub instructions: u64,
@@ -263,7 +263,7 @@ pub fn try_simulate(
     cfg: &EvalConfig,
 ) -> Result<Measurement, SimError> {
     let w = registry::lookup(name, &cfg.gen)?;
-    try_simulate_workload(&w, mechanism, cfg)
+    run_workload(&w, mechanism.mode(), mechanism.label(), cfg, false).map(|o| o.measurement)
 }
 
 /// Simulates one named workload on one mechanism.
@@ -277,135 +277,33 @@ pub fn simulate(name: &str, mechanism: Mechanism, cfg: &EvalConfig) -> Measureme
     try_simulate(name, mechanism, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Simulates an already-built workload on one mechanism.
-///
-/// # Panics
-///
-/// Panics on watchdog expiry; use [`try_simulate_workload`] to handle it.
-pub fn simulate_workload(w: &Workload, mechanism: Mechanism, cfg: &EvalConfig) -> Measurement {
-    try_simulate_workload(w, mechanism, cfg)
-        .unwrap_or_else(|e| panic!("simulating {} on {}: {e}", w.name, mechanism.label()))
+/// Everything one run reports: the measurement plus each observer that was
+/// attached for it.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The measurement window's statistics.
+    pub measurement: Measurement,
+    /// Collected telemetry (`Some` iff [`EvalConfig::telemetry`] is set).
+    pub telemetry: Option<Telemetry>,
+    /// Criticality-provenance diagnostics (`Some` iff
+    /// [`EvalConfig::diagnostics`] is set).
+    pub diagnostics: Option<CdfDiagnostics>,
+    /// The host self-profile (`Some` iff `profile` was requested).
+    pub profile: Option<HostProfile>,
 }
 
-/// Simulates an already-built workload on one mechanism, reporting watchdog
-/// expiry as a typed error.
-pub fn try_simulate_workload(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<Measurement, SimError> {
-    try_simulate_workload_mode(w, mechanism.mode(), mechanism.label(), cfg)
-}
-
-/// Simulates an already-built workload on one mechanism and also returns the
-/// core's collected [`Telemetry`] (`None` when `cfg.telemetry` is `None`).
-/// The measurement is identical to what [`try_simulate_workload`] returns —
-/// telemetry is observation-only.
-pub fn try_simulate_workload_telemetry(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, Option<Telemetry>), SimError> {
-    simulate_windows(w, mechanism.mode(), mechanism.label(), cfg, false).map(|(m, t, _, _)| (m, t))
-}
-
-/// Simulates an already-built workload on one mechanism and also returns the
-/// core's collected [`CdfDiagnostics`] (`None` when `cfg.diagnostics` is
-/// `false`). The measurement is identical to what [`try_simulate_workload`]
-/// returns — diagnostics are observation-only.
-pub fn try_simulate_workload_diagnostics(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, Option<CdfDiagnostics>), SimError> {
-    simulate_windows(w, mechanism.mode(), mechanism.label(), cfg, false).map(|(m, _, d, _)| (m, d))
-}
-
-/// Simulates one named workload on one mechanism with the host-side
-/// self-profiler attached, with typed errors for unknown names and watchdog
-/// expiry. See [`try_simulate_workload_profiled`].
-pub fn try_simulate_profiled(
-    name: &str,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, HostProfile), SimError> {
-    let w = registry::lookup(name, &cfg.gen)?;
-    try_simulate_workload_profiled(&w, mechanism, cfg)
-}
-
-/// Simulates an already-built workload on one mechanism with the host-side
-/// self-profiler attached, returning the measurement plus a [`HostProfile`]
-/// attributing the run's wall-clock time to pipeline stages and subsystem
-/// boundaries. The measurement is bit-identical to what
-/// [`try_simulate_workload`] returns — the profiler is observation-only
-/// (asserted by `tests/prof.rs` across every mechanism).
-pub fn try_simulate_workload_profiled(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, HostProfile), SimError> {
-    simulate_windows(w, mechanism.mode(), mechanism.label(), cfg, true).map(|(m, _, _, p)| {
-        let p = p.expect("profiling was requested, so a profile is produced");
-        (m, p)
-    })
-}
-
-/// Everything one simulated window can report: the measurement plus each
-/// optional observer that was attached for the run.
-pub type ObservedRun = (
-    Measurement,
-    Option<Telemetry>,
-    Option<CdfDiagnostics>,
-    Option<HostProfile>,
-);
-
-/// Simulates an already-built workload on one mechanism and returns every
-/// observation layer at once: the measurement, the telemetry (when
-/// [`EvalConfig::telemetry`] is set), and the criticality-provenance
-/// diagnostics (when [`EvalConfig::diagnostics`] is set). This is the
-/// sweep's runner; the measurement is bit-identical whichever observers are
-/// attached.
-pub fn try_simulate_workload_observed(
-    w: &Workload,
-    mechanism: Mechanism,
-    cfg: &EvalConfig,
-) -> Result<(Measurement, Option<Telemetry>, Option<CdfDiagnostics>), SimError> {
-    simulate_windows(w, mechanism.mode(), mechanism.label(), cfg, false)
-        .map(|(m, t, d, _)| (m, t, d))
-}
-
-/// Simulates an already-built workload on an explicit [`CoreMode`] and
-/// returns every observation layer **including** the host profile when
-/// `profile` is set — the sweep/record runner behind `--profile`.
-pub fn try_simulate_workload_observed_profiled(
+/// Simulates an already-built workload on an explicit [`CoreMode`] (a
+/// [`Mechanism`]'s `mode()`, or a patched one for sensitivity sweeps),
+/// labelled `label` in the measurement. Telemetry and diagnostics attach as
+/// [`EvalConfig`] says; `profile` attaches the host self-profiler. The
+/// measurement is bit-identical whichever observers are attached.
+pub fn run_workload(
     w: &Workload,
     mode: CoreMode,
     label: &str,
     cfg: &EvalConfig,
     profile: bool,
-) -> Result<ObservedRun, SimError> {
-    simulate_windows(w, mode, label, cfg, profile)
-}
-
-/// Simulates an already-built workload on an explicit [`CoreMode`] with a
-/// free-form mechanism label — the escape hatch for sensitivity sweeps whose
-/// configurations are not one of the named [`Mechanism`]s.
-pub fn try_simulate_workload_mode(
-    w: &Workload,
-    mode: CoreMode,
-    label: &str,
-    cfg: &EvalConfig,
-) -> Result<Measurement, SimError> {
-    simulate_windows(w, mode, label, cfg, false).map(|(m, _, _, _)| m)
-}
-
-fn simulate_windows(
-    w: &Workload,
-    mode: CoreMode,
-    label: &str,
-    cfg: &EvalConfig,
-    profile: bool,
-) -> Result<ObservedRun, SimError> {
+) -> Result<RunOutput, SimError> {
     let core_cfg = CoreConfig {
         mode,
         ..cfg.core.clone()
@@ -455,8 +353,8 @@ fn simulate_windows(
     let telemetry = core.take_telemetry();
     let diagnostics = core.take_diagnostics();
     let host_profile = wall_start.and_then(|t0| core.take_profile(t0.elapsed().as_nanos() as u64));
-    Ok((
-        Measurement {
+    Ok(RunOutput {
+        measurement: Measurement {
             workload: w.name.to_string(),
             mechanism: label.to_string(),
             instructions,
@@ -497,8 +395,8 @@ fn simulate_windows(
         },
         telemetry,
         diagnostics,
-        host_profile,
-    ))
+        profile: host_profile,
+    })
 }
 
 #[cfg(test)]

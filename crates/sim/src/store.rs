@@ -37,7 +37,7 @@ use crate::provenance::{provenance_from_json, provenance_json};
 use crate::run::{EvalConfig, Measurement, Mechanism};
 use crate::schema;
 use crate::sweep::{
-    eval_config_hash, measurement_json, parallel_map, run_cell, run_cell_profiled, Sweep, SweepCell,
+    eval_config_hash, measurement_json, parallel_map, run_cell_mode, Sweep, SweepCell,
 };
 use cdf_core::{CdfDiagnostics, Coverage, Provenance, Telemetry};
 use cdf_workloads::{registry, GenConfig};
@@ -542,11 +542,7 @@ pub fn run_record(cfg: &RecordConfig) -> Result<RecordRun, StoreError> {
         })
         .collect();
     let cells = parallel_map(&jobs, cfg.threads, |(w, m)| {
-        if cfg.profile {
-            run_cell_profiled(w, *m, &cfg.eval)
-        } else {
-            run_cell(w, *m, &cfg.eval)
-        }
+        run_cell_mode(w, *m, m.mode(), &cfg.eval, cfg.profile)
     });
     let store = ResultStore::open(&cfg.store_path);
     let prov = Provenance::capture();

@@ -23,7 +23,7 @@ use crate::json::{field, Json};
 use crate::prof::profile_json;
 use crate::provenance::provenance_json;
 use crate::report::Table;
-use crate::run::{EvalConfig, Measurement, Mechanism};
+use crate::run::{run_workload, EvalConfig, Measurement, Mechanism};
 use crate::telemetry::telemetry_json;
 use cdf_core::{CdfDiagnostics, HostProfile, Provenance, Telemetry};
 use cdf_workloads::registry;
@@ -139,7 +139,7 @@ pub fn run_sweep(config: &SweepConfig) -> Sweep {
         .collect();
     let threads_used = effective_threads(config.threads, jobs.len());
     let cells = parallel_map(&jobs, config.threads, |&(w, m)| {
-        run_cell_inner(w, m, m.mode(), &config.eval, config.profile)
+        run_cell_mode(w, m, m.mode(), &config.eval, config.profile)
     });
     Sweep {
         config: config.clone(),
@@ -152,30 +152,16 @@ pub fn run_sweep(config: &SweepConfig) -> Sweep {
 
 /// Runs one grid cell, capturing every failure mode as a [`SimError`].
 pub fn run_cell(workload: &str, mechanism: Mechanism, eval: &EvalConfig) -> SweepCell {
-    run_cell_inner(workload, mechanism, mechanism.mode(), eval, false)
-}
-
-/// [`run_cell`] with the host-side self-profiler attached — the runner
-/// behind `cdf-sim record --profile`. The measurement half of the cell is
-/// bit-identical to [`run_cell`]'s.
-pub fn run_cell_profiled(workload: &str, mechanism: Mechanism, eval: &EvalConfig) -> SweepCell {
-    run_cell_inner(workload, mechanism, mechanism.mode(), eval, true)
+    run_cell_mode(workload, mechanism, mechanism.mode(), eval, false)
 }
 
 /// [`run_cell`] with an explicit [`cdf_core::CoreMode`] — the campaign
 /// engine's cell runner, where a grid point may have patched the mode's CDF
-/// structure knobs. The `mechanism` still names the cell; passing
-/// `mechanism.mode()` unmodified makes this exactly [`run_cell`].
+/// structure knobs — and, when `profile` is set, the host self-profiler
+/// attached. The `mechanism` still names the cell; passing
+/// `mechanism.mode()` unmodified and no profiler makes this exactly
+/// [`run_cell`]. The measurement is bit-identical either way.
 pub fn run_cell_mode(
-    workload: &str,
-    mechanism: Mechanism,
-    mode: cdf_core::CoreMode,
-    eval: &EvalConfig,
-) -> SweepCell {
-    run_cell_inner(workload, mechanism, mode, eval, false)
-}
-
-fn run_cell_inner(
     workload: &str,
     mechanism: Mechanism,
     mode: cdf_core::CoreMode,
@@ -186,15 +172,9 @@ fn run_cell_inner(
     let (result, telemetry, diagnostics, prof) = match registry::lookup(workload, &eval.gen) {
         Err(e) => (Err(SimError::from(e)), None, None, None),
         Ok(w) => match catch_unwind(AssertUnwindSafe(|| {
-            crate::run::try_simulate_workload_observed_profiled(
-                &w,
-                mode,
-                mechanism.label(),
-                eval,
-                profile,
-            )
+            run_workload(&w, mode, mechanism.label(), eval, profile)
         })) {
-            Ok(Ok((m, tel, diag, p))) => (Ok(m), tel, diag, p),
+            Ok(Ok(o)) => (Ok(o.measurement), o.telemetry, o.diagnostics, o.profile),
             Ok(Err(e)) => (Err(e), None, None, None),
             Err(payload) => (
                 Err(SimError::Panicked(panic_message(payload))),
@@ -607,7 +587,13 @@ mod tests {
     fn profiled_cells_embed_profile_without_perturbing_results() {
         let eval = tiny_eval();
         let plain = run_cell("libq_like", Mechanism::Cdf, &eval);
-        let prof = run_cell_profiled("libq_like", Mechanism::Cdf, &eval);
+        let prof = run_cell_mode(
+            "libq_like",
+            Mechanism::Cdf,
+            Mechanism::Cdf.mode(),
+            &eval,
+            true,
+        );
         assert_eq!(plain.result, prof.result, "profiling is observation-only");
         assert!(plain.profile.is_none());
         let p = prof.profile.as_ref().expect("profiler returned");

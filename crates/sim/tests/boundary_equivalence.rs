@@ -1,24 +1,22 @@
-//! Core↔memory boundary equivalence suite: routing every memory access
-//! through the tagged request/response message port must be
-//! **bit-identical** to the direct-call reference path it replaced — same
+//! Core↔memory boundary equivalence suite: a core whose memory is core 0's
+//! slice of a one-core [`MultiCore`](cdf_core::MultiCore) must be
+//! **bit-identical** to a core over its own private hierarchy — same
 //! retirement digest, same oracle-checked uop count, same complete
-//! [`CoreStats`], same [`Measurement`] — on every mechanism, and the full
-//! 98-cell golden grid must agree cell for cell.
+//! [`CoreStats`], same energy report and memory traffic — on every
+//! mechanism, and the full 98-cell golden grid must agree cell for cell.
 //!
-//! The equivalence argument (DESIGN.md, "Multi-core boundary"): the
-//! message envelope reorders *code*, not *events* — a request is serviced
-//! at submit time with the same clock the direct call would have used, and
-//! completion time travels in the response. These tests are the proof.
+//! The equivalence argument (DESIGN.md, "Multi-core boundary"): the shared
+//! system's per-core access path mirrors the private hierarchy line for
+//! line, and core 0 maps addresses identically, so with one core nothing is
+//! shared and nothing can differ. These tests are the proof.
 //!
 //! The in-tree tests run bounded campaigns; the full acceptance campaign
 //! (500 seeds × all seven mechanisms) is the `#[ignore]`d
-//! `full_boundary_equivalence_campaign`, run in CI release mode or via
+//! `full_boundary_equivalence_campaign`, run in release mode or via
 //! `cdf-sim equiv --boundary`.
 //!
 //! [`CoreStats`]: cdf_core::CoreStats
-//! [`Measurement`]: cdf_sim::Measurement
 
-use cdf_core::BoundaryKind;
 use cdf_sim::{
     collect_golden, run_equivalence, workload_equivalence_axis, EquivAxis, EquivConfig, EvalConfig,
     GoldenConfig, Mechanism,
@@ -40,11 +38,11 @@ fn bounded_fuzz_boundary_equivalence_all_mechanisms() {
     assert!(report.checked_uops > 0, "oracle compared retired uops");
 }
 
-/// Full warmup+measure windows compared [`cdf_sim::Measurement`]-for-
-/// measurement over the **entire 98-cell grid** (every workload × every
-/// mechanism) under both boundaries: DRAM line traffic and energy are
-/// folded in, so a boundary that reordered memory-system events would
-/// fail here even with a clean retirement stream.
+/// The same bounded window on both topologies over the **entire 98-cell
+/// grid** (every workload × every mechanism), compared on `CoreStats`, the
+/// energy report, and the core's memory and DRAM counters: a shared path
+/// that reordered memory-system events would fail here even with a clean
+/// retirement stream.
 #[test]
 fn workload_windows_bit_identical_across_boundaries_full_grid() {
     let mut cfg = EvalConfig::quick();
@@ -57,34 +55,31 @@ fn workload_windows_bit_identical_across_boundaries_full_grid() {
 }
 
 /// The complete golden grid (every workload × every mechanism), collected
-/// under both boundaries and compared cell for cell — the grid-level
-/// version of the `cdf-sim equiv --boundary` proof.
+/// on private cores and on one-core shared systems and compared cell for
+/// cell — the grid-level version of the `cdf-sim equiv --boundary` proof.
 #[test]
 fn golden_grid_bit_identical_across_boundaries() {
-    let msg = collect_golden(&GoldenConfig {
-        boundary: BoundaryKind::RequestResponse,
+    let private = collect_golden(&GoldenConfig::default());
+    let shared = collect_golden(&GoldenConfig {
+        shared: true,
         ..GoldenConfig::default()
     });
-    let direct = collect_golden(&GoldenConfig {
-        boundary: BoundaryKind::ReferenceDirect,
-        ..GoldenConfig::default()
-    });
-    assert_eq!(msg.len(), direct.len());
-    assert_eq!(msg.len(), registry::NAMES.len() * Mechanism::ALL.len());
-    for (m, d) in msg.iter().zip(&direct) {
-        assert_eq!(m.workload, d.workload);
-        assert_eq!(m.mechanism, d.mechanism);
+    assert_eq!(private.len(), shared.len());
+    assert_eq!(private.len(), registry::NAMES.len() * Mechanism::ALL.len());
+    for (p, s) in private.iter().zip(&shared) {
+        assert_eq!(p.workload, s.workload);
+        assert_eq!(p.mechanism, s.mechanism);
         assert_eq!(
-            m.stats, d.stats,
+            p.stats, s.stats,
             "boundaries diverged on {}/{}",
-            m.workload, m.mechanism
+            p.workload, p.mechanism
         );
     }
 }
 
 /// The full acceptance campaign: 500 seeds × all seven mechanisms, each
-/// seed run to completion under both boundaries with per-retired-uop
-/// oracle checking.
+/// seed run to completion on both topologies with per-retired-uop oracle
+/// checking.
 /// `cargo test -p cdf-sim --release --test boundary_equivalence -- --ignored`
 #[test]
 #[ignore = "full 3500-case campaign; run explicitly in release mode"]

@@ -20,8 +20,8 @@ use cdf_core::{CdfConfig, Core, CoreConfig, CoreMode, PreConfig};
 use cdf_isa::{ArchReg::*, Cond, MemoryImage, Program, ProgramBuilder};
 use cdf_sim::json::Json;
 use cdf_sim::{
-    diagnostics_json, run_explain, try_simulate_workload_diagnostics, EvalConfig, ExplainConfig,
-    Mechanism, EXPLAIN_SCHEMA,
+    diagnostics_json, run_explain, run_workload, EvalConfig, ExplainConfig, Mechanism,
+    EXPLAIN_SCHEMA,
 };
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::{registry, GenConfig};
@@ -59,20 +59,20 @@ fn diagnostics_never_perturb_measurements_on_any_mechanism() {
     let cfg = small_eval();
     let w = registry::lookup("astar_like", &cfg.gen).expect("registered");
     for mech in Mechanism::ALL {
-        let (plain, none) = try_simulate_workload_diagnostics(&w, mech, &cfg).unwrap();
-        assert!(none.is_none(), "disabled by default");
+        let plain = run_workload(&w, mech.mode(), mech.label(), &cfg, false).unwrap();
+        assert!(plain.diagnostics.is_none(), "disabled by default");
         let enabled = EvalConfig {
             diagnostics: true,
             ..cfg.clone()
         };
-        let (measured, d) = try_simulate_workload_diagnostics(&w, mech, &enabled).unwrap();
+        let measured = run_workload(&w, mech.mode(), mech.label(), &enabled, false).unwrap();
         assert_eq!(
-            plain,
-            measured,
+            plain.measurement,
+            measured.measurement,
             "{}: diagnostics must be observation-only, stat for stat",
             mech.label()
         );
-        let d = d.expect("collector returned");
+        let d = measured.diagnostics.expect("collector returned");
         assert_eq!(d.lead_time.samples(), d.llc_miss_initiations);
     }
 }

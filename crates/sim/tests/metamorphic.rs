@@ -12,7 +12,7 @@
 //!   leaks a cycle, whichever frontend/scheduler path produced it.
 
 use cdf_core::{Core, CoreConfig, TelemetryConfig};
-use cdf_sim::{simulate, try_simulate_workload_telemetry, EvalConfig, Mechanism};
+use cdf_sim::{run_workload, simulate, EvalConfig, Mechanism};
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::{registry, GenConfig};
 
@@ -99,9 +99,10 @@ fn accounting_buckets_partition_cycles_under_every_mechanism() {
     cfg.telemetry = Some(TelemetryConfig::default());
     let w = registry::lookup("mcf_like", &cfg.gen).expect("known workload");
     for &mech in &Mechanism::ALL {
-        let (_, tel) = try_simulate_workload_telemetry(&w, mech, &cfg)
-            .unwrap_or_else(|e| panic!("mcf_like under {}: {e}", mech.label()));
-        let tel = tel.expect("telemetry was enabled");
+        let tel = run_workload(&w, mech.mode(), mech.label(), &cfg, false)
+            .unwrap_or_else(|e| panic!("mcf_like under {}: {e}", mech.label()))
+            .telemetry
+            .expect("telemetry was enabled");
         assert_eq!(
             tel.accounting.total(),
             tel.observed_cycles(),

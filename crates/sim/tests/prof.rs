@@ -16,9 +16,8 @@
 use cdf_core::{Core, CoreConfig};
 use cdf_sim::json::Json;
 use cdf_sim::{
-    compare_runs, profile_from_json, profile_json, records_from_cells, run_cell_profiled,
-    try_simulate_workload, try_simulate_workload_profiled, CompareConfig, EvalConfig, Mechanism,
-    MetricClass, RecordPayload,
+    compare_runs, profile_from_json, profile_json, records_from_cells, run_cell_mode, run_workload,
+    CompareConfig, EvalConfig, Mechanism, MetricClass, RecordPayload,
 };
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::registry;
@@ -39,9 +38,14 @@ fn profiled_measurements_are_bit_identical_on_all_mechanisms() {
     let eval = quick_eval();
     let w = registry::lookup("mcf_like", &eval.gen).expect("known workload");
     for mech in Mechanism::ALL {
-        let plain = try_simulate_workload(&w, mech, &eval).expect("plain run succeeds");
-        let (profiled, p) =
-            try_simulate_workload_profiled(&w, mech, &eval).expect("profiled run succeeds");
+        let plain =
+            run_workload(&w, mech.mode(), mech.label(), &eval, false).expect("plain run succeeds");
+        assert!(plain.profile.is_none(), "no profiler unless requested");
+        let plain = plain.measurement;
+        let profiled = run_workload(&w, mech.mode(), mech.label(), &eval, true)
+            .expect("profiled run succeeds");
+        let p = profiled.profile.expect("profiling was requested");
+        let profiled = profiled.measurement;
         assert_eq!(
             plain,
             profiled,
@@ -98,7 +102,11 @@ proptest! {
 fn profile_document_round_trips_from_a_real_run() {
     let eval = quick_eval();
     let w = registry::lookup("astar_like", &eval.gen).expect("known workload");
-    let (_, p) = try_simulate_workload_profiled(&w, Mechanism::Cdf, &eval).expect("run succeeds");
+    let m = Mechanism::Cdf;
+    let p = run_workload(&w, m.mode(), m.label(), &eval, true)
+        .expect("run succeeds")
+        .profile
+        .expect("profiling was requested");
     let doc = profile_json(&p, "astar_like", "CDF");
     let parsed = Json::parse(&doc.render()).expect("rendered profile parses");
     let back = profile_from_json(&parsed).expect("parsed profile validates");
@@ -112,7 +120,13 @@ fn profile_document_round_trips_from_a_real_run() {
 #[test]
 fn compare_classifies_injected_host_time_regression_from_profile_rows() {
     let eval = quick_eval();
-    let cell = run_cell_profiled("astar_like", Mechanism::Cdf, &eval);
+    let cell = run_cell_mode(
+        "astar_like",
+        Mechanism::Cdf,
+        Mechanism::Cdf.mode(),
+        &eval,
+        true,
+    );
     assert!(cell.result.is_ok() && cell.profile.is_some());
     let cells = vec![cell];
     let prov = cdf_core::Provenance {

@@ -506,13 +506,12 @@ fn every_serializer_emits_a_registered_roundtripping_tag() {
         ..eval.clone()
     };
     let w = cdf_workloads::registry::lookup("astar_like", &tel_eval.gen).expect("registered");
-    let (_, tel) =
-        cdf_sim::try_simulate_workload_telemetry(&w, cdf_sim::Mechanism::Baseline, &tel_eval)
-            .expect("simulates");
-    docs.push((
-        schema::TELEMETRY,
-        cdf_sim::telemetry_json(&tel.expect("telemetry attached")),
-    ));
+    let base = cdf_sim::Mechanism::Baseline;
+    let tel = cdf_sim::run_workload(&w, base.mode(), base.label(), &tel_eval, false)
+        .expect("simulates")
+        .telemetry
+        .expect("telemetry attached");
+    docs.push((schema::TELEMETRY, cdf_sim::telemetry_json(&tel)));
 
     let equiv_cfg = cdf_sim::EquivConfig {
         seeds: 2,

@@ -8,7 +8,7 @@
 //! ```
 
 use cdf::core::{CdfConfig, CoreConfig, CoreMode};
-use cdf::sim::{simulate_workload, EvalConfig, Mechanism};
+use cdf::sim::{simulate, EvalConfig, Mechanism};
 use cdf::workloads::{registry, GenConfig};
 
 fn main() {
@@ -20,10 +20,10 @@ fn main() {
         scale: 1.0 / 16.0,
         iters: u64::MAX / 4,
     };
-    let w = registry::lookup(&name, &gen).unwrap_or_else(|e| {
+    if let Err(e) = registry::lookup(&name, &gen) {
         eprintln!("{e}");
         std::process::exit(1);
-    });
+    }
     let eval = EvalConfig {
         gen,
         warmup_instructions: 40_000,
@@ -42,7 +42,7 @@ fn main() {
             core: CoreConfig::default().with_scaled_window(rob),
             ..eval.clone()
         };
-        let m = simulate_workload(&w, Mechanism::Baseline, &cfg);
+        let m = simulate(&name, Mechanism::Baseline, &cfg);
         println!("{rob:>6} {:>10.3} {:>10.2}", m.ipc, m.mlp);
     }
     let cdf_cfg = EvalConfig {
@@ -52,7 +52,7 @@ fn main() {
         },
         ..eval
     };
-    let m = simulate_workload(&w, Mechanism::Cdf, &cdf_cfg);
+    let m = simulate(&name, Mechanism::Cdf, &cdf_cfg);
     println!();
     println!(
         "CDF @ ROB 352: IPC {:.3}, MLP {:.2} — the effective window critical \
