@@ -28,6 +28,7 @@
 use cdf_bench::throughput::{
     measure, profile_once, rows_from_json, rows_json, speedup_ratios, throughput_cases,
 };
+use cdf_sim::cli::{self, Args, Form};
 use cdf_sim::json::{field, Json};
 use std::path::PathBuf;
 use std::process::exit;
@@ -37,25 +38,48 @@ use std::process::exit;
 #[global_allocator]
 static ALLOC: cdf_core::CountingAlloc = cdf_core::CountingAlloc;
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+#[rustfmt::skip]
+mod flags {
+    use cdf_sim::cli::{Flag, Kind::*};
+
+    pub const FULL: Flag = Flag::switch("--full", "measure the full-size suite (default: quick sizing)");
+    pub const BLESS: Flag = Flag::switch("--bless", "(re)write the baseline JSON instead of comparing");
+    pub const TOLERANCE: Flag = Flag::value("--tolerance", Float, "F", "allowed cycles/sec regression as a fraction (default 0.20)")
+        .checked(|v| if v >= 0.0 { Ok(()) } else { Err("must not be negative".into()) });
+    pub const BASELINE: Flag = Flag::value("--baseline", Text, "FILE", "baseline path (default crates/bench/baseline/throughput.json)");
+    pub const RECORD: Flag = Flag::switch("--record", "also append the rows as cdf-result/1 records to the results store");
+    pub const STORE: Flag = Flag::value("--store", Text, "FILE", "results store path (default .cdf-results/results.jsonl)");
+    pub const PROFILE_OUT: Flag = Flag::value("--profile-out", Text, "FILE", "also write one cdf-profile/1 document per case to FILE");
 }
+use flags::*;
+
+const FORMS: &[Form] = &[Form::new(
+    "",
+    &[],
+    "measure the throughput suite and compare it against the baseline",
+    &[&[
+        &FULL,
+        &BLESS,
+        &TOLERANCE,
+        &BASELINE,
+        &RECORD,
+        &STORE,
+        &PROFILE_OUT,
+    ]],
+    gate,
+)];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let bless = args.iter().any(|a| a == "--bless");
-    let tolerance: f64 = flag_value(&args, "--tolerance")
-        .map(|v| v.parse().expect("--tolerance takes a fraction, e.g. 0.2"))
-        .unwrap_or(0.20);
-    let baseline_path = flag_value(&args, "--baseline")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baseline/throughput.json")
-        });
+    cli::main("throughput-gate", FORMS);
+}
+
+fn gate(args: &Args) {
+    let full = args.has(&FULL);
+    let bless = args.has(&BLESS);
+    let tolerance = args.float(&TOLERANCE).unwrap_or(0.20);
+    let baseline_path = args.text(&BASELINE).map(PathBuf::from).unwrap_or_else(|| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baseline/throughput.json")
+    });
 
     let quick = !full;
     let rows = measure(&throughput_cases(quick), 3);
@@ -73,16 +97,13 @@ fn main() {
         println!("{case:32} event/reference = {ratio:.2}x");
     }
 
-    if args.iter().any(|a| a == "--record") {
-        let store_path = flag_value(&args, "--store")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(cdf_sim::DEFAULT_STORE_PATH));
+    if args.has(&RECORD) {
+        let store_path = PathBuf::from(args.text(&STORE).unwrap_or(cdf_sim::DEFAULT_STORE_PATH));
         let store = cdf_sim::ResultStore::open(&store_path);
-        let existing = store
-            .load()
-            .unwrap_or_else(|e| panic!("loading {}: {e}", store_path.display()));
         let prov = cdf_core::Provenance::capture();
-        let run_id = cdf_sim::next_run_id(&existing, &prov);
+        let run_id = store
+            .reserve_run_id(&prov)
+            .unwrap_or_else(|e| panic!("recording to {}: {e}", store_path.display()));
         // The sizing is the only configuration axis the gate varies, so it
         // is the whole config hash: quick vs full rows must not compare as
         // same-config cells.
@@ -118,7 +139,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = flag_value(&args, "--profile-out") {
+    if let Some(path) = args.text(&PROFILE_OUT) {
         // One profiled pass per case (event-driven variant) so the gate's
         // own wall time is attributable to pipeline stages and subsystems.
         let cases = throughput_cases(quick);
@@ -134,8 +155,7 @@ fn main() {
             field("quick", quick),
             field("profiles", Json::Arr(profiles)),
         ]);
-        std::fs::write(&path, doc.render_pretty())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, doc.render_pretty()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {} case profile(s) to {path}", cases.len());
     }
 

@@ -1,50 +1,20 @@
 //! `cdf-sim` — command-line front end for the simulator.
 //!
-//! ```text
-//! cdf-sim list
-//! cdf-sim table1
-//! cdf-sim run <workload> [--mech base|cdf|pre|classify|...] [--rob N]
-//!             [--warmup N] [--measure N] [--scale F] [--seed N] [--fast]
-//! cdf-sim report <workload> [--mech M] [sizing flags]
-//! cdf-sim explain [--workloads a,b,c] [--mechs base,cdf,...] [--threads N]
-//!                 [--chains N] [--out explain.json] [--trace-out FILE]
-//!                 [sizing flags]
-//! cdf-sim telemetry <workload> [--mech M] [--interval N] [--out FILE]
-//!                   [--trace-out FILE] [sizing flags]
-//! cdf-sim profile <workload> [--mech M] [--out FILE] [--trace-out FILE]
-//!                 [sizing flags]
-//! cdf-sim compare <workload> [sizing flags]
-//! cdf-sim compare <refA> <refB> [--store FILE] [--tolerance F] [--out FILE]
-//! cdf-sim record [--workloads a,b,c] [--mechs base,cdf,...] [--threads N]
-//!                [--filter SUBSTR] [--store FILE] [--telemetry N]
-//!                [--explain] [--profile] [sizing flags]
-//! cdf-sim sweep [--workloads a,b,c] [--mechs base,cdf,...] [--threads N]
-//!               [--max-cycles N] [--telemetry N] [--explain] [--profile]
-//!               [--record] [--store FILE]
-//!               [--out results.json] [sizing flags]
-//! cdf-sim fuzz [--seeds N] [--start N] [--budget M] [--mechs a,b,c]
-//!              [--minimize] [--shrink-budget N] [--threads N]
-//!              [--out DIR] [--report FILE]
-//! cdf-sim equiv [--seeds N] [--start N] [--mechs a,b,c] [--threads N]
-//!               [--mem] [--boundary] [--report FILE]
-//! cdf-sim mix --workloads a,b[,c,...] [--mechs base,cdf,...] [--fast]
-//!             [--telemetry N] [--profile]
-//!             [--out FILE] [--record] [--store FILE] [sizing flags]
-//! cdf-sim campaign run --spec FILE [--dir DIR] [--shards N] [--threads N]
-//!                      [--store FILE] [--no-record]
-//! cdf-sim campaign resume --dir DIR [--threads N] [--store FILE] [--no-record]
-//! cdf-sim campaign status --dir DIR
-//! cdf-sim campaign shard --dir DIR --shard I [--threads N] [--batch N]
-//!                        [--abort-after N]
-//! ```
+//! Every subcommand form, its positionals and its flags are declared once
+//! in [`FORMS`]; run `cdf-sim` with no arguments for the generated usage.
+//! Exit codes: 0 success, 1 run or I/O error, 2 usage error (and campaign
+//! spec/journal/state errors), 3 failed cells, 4 fuzz divergence or
+//! compare regression, 5 equivalence mismatch.
 
-use cdf_core::{CoreConfig, TelemetryConfig};
+use cdf_core::TelemetryConfig;
+use cdf_sim::cli::{self, Args, Form};
 use cdf_sim::{
     accounting_table, profile_json, profile_table, profile_trace_json, run_explain, run_sweep,
-    run_workload, simulate, table1_text, telemetry_json, trace_events_json, EvalConfig,
-    ExplainConfig, Mechanism, RunOutput, SweepConfig,
+    run_workload, simulate, table1_text, telemetry_json, trace_events_json, EvalConfig, Mechanism,
+    RunOutput, Sweep, SweepConfig,
 };
 use cdf_workloads::registry;
+use std::path::PathBuf;
 use std::process::exit;
 
 /// Counting allocator so host profiles ([`cdf_sim::prof`]) attribute
@@ -54,391 +24,256 @@ use std::process::exit;
 #[global_allocator]
 static ALLOC: cdf_core::CountingAlloc = cdf_core::CountingAlloc;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  cdf-sim list\n  cdf-sim table1\n  cdf-sim run <workload> [options]\n  \
-         cdf-sim report <workload> [options]\n  cdf-sim explain [options]\n  \
-         cdf-sim telemetry <workload> [options]\n  \
-         cdf-sim profile <workload> [options]\n  \
-         cdf-sim compare <workload> [options]\n  \
-         cdf-sim compare <refA> <refB> [options]\n  \
-         cdf-sim record [options]\n  cdf-sim sweep [options]\n  \
-         cdf-sim fuzz [options]\n  cdf-sim equiv [options]\n  \
-         cdf-sim mix --workloads a,b [options]\n  \
-         cdf-sim campaign run|resume|status|shard [options]\n\noptions:\n  \
-         --mech base|cdf|pre|classify|cdf-nobr|cdf-static|cdf-nomask\n                 \
-         mechanism (run/report/telemetry; default cdf)\n  \
-         --rob N        scale the window to N ROB entries\n  \
-         --warmup N     warmup instructions\n  --measure N    measured instructions\n  \
-         --scale F      workload footprint scale\n  --seed N       workload seed\n  \
-         --fast         quick sizing preset\n\nexplain options:\n  \
-         --workloads a,b,c  comma-separated workloads (default: full registry)\n  \
-         --mechs a,b,c      comma-separated mechanisms (default: all)\n  \
-         --threads N        worker threads (default: all hardware threads)\n  \
-         --chains N         chain records embedded per cell (default 32)\n  \
-         --out FILE         write the cdf-explain/1 JSON document to FILE\n  \
-         --trace-out FILE   write per-chain Perfetto async spans to FILE\n\ntelemetry options:\n  \
-         --interval N       cycles per interval sample (default 1024)\n  \
-         --out FILE         write the cdf-telemetry/1 JSON document to FILE\n  \
-         --trace-out FILE   write Chrome/Perfetto trace-event JSON to FILE\n\nprofile options:\n  \
-         --mech M           mechanism to profile (default cdf)\n  \
-         --out FILE         write the cdf-profile/1 JSON document to FILE\n  \
-         --trace-out FILE   write Chrome/Perfetto trace-event JSON to FILE\n\nsweep options:\n  \
-         --workloads a,b,c  comma-separated workloads (default: full registry)\n  \
-         --mechs a,b,c      comma-separated mechanisms (default: all)\n  \
-         --threads N        worker threads (default: all hardware threads)\n  \
-         --max-cycles N     per-run watchdog cycle budget (default: off)\n  \
-         --telemetry N      collect telemetry with an N-cycle interval and\n                     \
-         embed it per cell in the JSON records\n  \
-         --explain          collect criticality-provenance diagnostics and\n                     \
-         embed them per cell in the JSON records\n  \
-         --profile          attach the host self-profiler and embed a\n                     \
-         cdf-profile/1 document per cell in the JSON records\n  \
-         --record           also append one cdf-result/1 record per cell to the\n                     \
-         results store\n  \
-         --store FILE       results store path (default .cdf-results/results.jsonl)\n  \
-         --out FILE         write the stamped JSON records to FILE\n\nrecord options:\n  \
-         --workloads/--mechs/--threads/--telemetry/--explain  as for sweep\n  \
-         --profile          also append one host-throughput \"profile\" record per\n                     \
-         successful cell (compare classifies them tolerantly)\n  \
-         --filter SUBSTR    only cells whose workload/mechanism label contains SUBSTR\n  \
-         --store FILE       results store to append to\n\ncompare options (two-ref form):\n  \
-         <refA> <refB>      each: `latest`, `latest~N`, a run id, or a commit prefix\n  \
-         --store FILE       results store to read\n  \
-         --tolerance F      relative tolerance for wall-clock metrics (default 0.25)\n  \
-         --out FILE         write the cdf-compare/1 JSON report to FILE\n\nfuzz options:\n  \
-         --seeds N          random programs to run (default 100)\n  \
-         --start N          first seed (default 0)\n  \
-         --budget M         cap on total dynamic uops across seeds (default: off)\n  \
-         --mechs a,b,c      mechanisms run in lockstep (default base,cdf,pre)\n  \
-         --minimize         delta-debug each failure to a minimal reproducer\n  \
-         --shrink-budget N  shrinker predicate evaluations per failure (default 300)\n  \
-         --out DIR          write each failure as a cdf-fuzz-case/1 JSON file\n  \
-         --report FILE      write the cdf-fuzz/1 JSON report to FILE\n\nequiv options:\n  \
-         --seeds N          fuzz programs to run under both variants (default 500)\n  \
-         --start N          first seed (default 1)\n  \
-         --mechs a,b,c      mechanisms (default: all seven)\n  \
-         --threads N        worker threads (default: all hardware threads)\n  \
-         --mem              compare the memory-model pair (event-driven vs lazy\n                     \
-         reference) instead of the scheduler pair\n  \
-         --boundary         compare a private memory hierarchy with core 0 of a\n                     \
-         one-core shared memory system\n  \
-         --report FILE      write the cdf-equiv/1 JSON report to FILE\n\nmix options:\n  \
-         --workloads a,b    one workload per core, in core order (2+ cores)\n  \
-         --mechs a,b        one mechanism per core, or one for all (default cdf)\n  \
-         --telemetry N      per-core telemetry with an N-cycle sample interval,\n                     \
-         embedded per core in the JSON document\n  \
-         --profile          host self-profile for the whole mix, embedded in the\n                     \
-         JSON document and printed as a table\n  \
-         --out FILE         write the cdf-mix/1 JSON document to FILE\n  \
-         --record           append per-core cdf-result/1 records to the store\n  \
-         --store FILE       results store path (default .cdf-results/results.jsonl)\n\ncampaign options:\n  \
-         run    --spec FILE   TOML/JSON experiment spec; initializes the campaign\n                       \
-         directory and runs it to completion\n  \
-         resume --dir DIR     restart a killed campaign exactly where it stopped\n  \
-         status --dir DIR     streaming aggregate of the journals, usable mid-run\n  \
-         shard  --dir DIR --shard I   run one shard in this process (what `run`\n                       \
-         spawns; also the crash-injection point for tests)\n  \
-         --dir DIR          campaign directory (default .cdf-campaigns/<name>)\n  \
-         --shards N         worker processes (default 1)\n  \
-         --threads N        total worker threads, split across shards\n  \
-         --store FILE       results store sweep/explain cells are appended to\n  \
-         --no-record        skip the results store\n  \
-         --batch N          cells per checkpoint append (shard; default auto)\n  \
-         --abort-after N    stop the shard after N new cells (crash injection)"
-    );
-    exit(2)
+/// The flags, each declared once, and the groups several forms share.
+#[rustfmt::skip]
+mod flags {
+    use cdf_sim::cli::{Flag, Kind::*};
+    use cdf_sim::{check_sizing, SizingKnob};
+
+    pub const ROB: Flag = Flag::value("--rob", Int, "N", "scale the window to N ROB entries").checked(|v| check_sizing(SizingKnob::Rob, v));
+    pub const WARMUP: Flag = Flag::value("--warmup", Int, "N", "warmup instructions");
+    pub const MEASURE: Flag = Flag::value("--measure", Int, "N", "measured instructions").checked(|v| check_sizing(SizingKnob::Measure, v));
+    pub const SCALE: Flag = Flag::value("--scale", Float, "F", "workload footprint scale").checked(|v| check_sizing(SizingKnob::Scale, v));
+    pub const SEED: Flag = Flag::value("--seed", Int, "N", "workload seed");
+    pub const MAX_CYCLES: Flag = Flag::value("--max-cycles", Int, "N", "per-run watchdog cycle budget (default: off)");
+    pub const FAST: Flag = Flag::switch("--fast", "quick sizing preset");
+    pub const MECH: Flag = Flag::value("--mech", Mech, "M", "mechanism: base|classify|cdf|pre|cdf-nobr|cdf-static|cdf-nomask (default cdf)");
+    pub const WORKLOADS: Flag = Flag::value("--workloads", List, "a,b,c", "comma-separated workloads (default: full registry)");
+    pub const MECHS: Flag = Flag::value("--mechs", Mechs, "a,b,c", "comma-separated mechanisms (default: all; fuzz base,cdf,pre; mix cdf)");
+    pub const THREADS: Flag = Flag::value("--threads", Int, "N", "worker threads (default: all hardware threads)");
+    pub const OUT: Flag = Flag::value("--out", Text, "PATH", "write the JSON document (fuzz: the failure corpus directory) to PATH");
+    pub const TRACE_OUT: Flag = Flag::value("--trace-out", Text, "FILE", "write Chrome/Perfetto trace-event JSON to FILE");
+    pub const RECORD: Flag = Flag::switch("--record", "also append cdf-result/1 records to the results store");
+    pub const STORE: Flag = Flag::value("--store", Text, "FILE", "results store path (default .cdf-results/results.jsonl)");
+    pub const CHAINS: Flag = Flag::value("--chains", Int, "N", "chain records embedded per cell (default 32)");
+    pub const INTERVAL: Flag = Flag::value("--interval", Int, "N", "cycles per interval sample (default 1024)").checked(|v| check_sizing(SizingKnob::Interval, v));
+    pub const TELEMETRY: Flag = Flag::value("--telemetry", Int, "N", "collect telemetry with an N-cycle interval, embedded in the JSON").checked(|v| check_sizing(SizingKnob::Interval, v));
+    pub const EXPLAIN: Flag = Flag::switch("--explain", "collect criticality-provenance diagnostics, embedded per cell in the JSON");
+    pub const PROFILE: Flag = Flag::switch("--profile", "attach the host self-profiler (record: also append a host-throughput row per cell)");
+    pub const FILTER: Flag = Flag::value("--filter", Text, "SUBSTR", "only cells whose workload/mechanism label contains SUBSTR");
+    pub const TOLERANCE: Flag = Flag::value("--tolerance", Float, "F", "relative tolerance for wall-clock metrics (default 0.25)").checked(|v| if v >= 0.0 { Ok(()) } else { Err("must not be negative".into()) });
+    pub const SEEDS: Flag = Flag::value("--seeds", Int, "N", "fuzz programs to run");
+    pub const START: Flag = Flag::value("--start", Int, "N", "first seed");
+    pub const BUDGET: Flag = Flag::value("--budget", Int, "M", "cap on total dynamic uops across seeds (default: off)");
+    pub const MINIMIZE: Flag = Flag::switch("--minimize", "delta-debug each failure to a minimal reproducer");
+    pub const SHRINK_BUDGET: Flag = Flag::value("--shrink-budget", Int, "N", "shrinker predicate evaluations per failure (default 300)");
+    pub const REPORT: Flag = Flag::value("--report", Text, "FILE", "write the JSON report to FILE");
+    pub const MEM: Flag = Flag::switch("--mem", "compare the memory-model pair (event-driven vs lazy reference)");
+    pub const BOUNDARY: Flag = Flag::switch("--boundary", "compare a private hierarchy with core 0 of a one-core shared memory system");
+    pub const SPEC: Flag = Flag::value("--spec", Text, "FILE", "TOML/JSON experiment spec");
+    pub const DIR: Flag = Flag::value("--dir", Text, "DIR", "campaign directory (run: default .cdf-campaigns/<name>)");
+    pub const SHARDS: Flag = Flag::value("--shards", Int, "N", "worker processes (default 1)").checked(|v| if v >= 1.0 { Ok(()) } else { Err("must be at least 1".into()) });
+    pub const NO_RECORD: Flag = Flag::switch("--no-record", "skip the results store");
+    pub const SHARD: Flag = Flag::value("--shard", Int, "I", "shard index to run");
+    pub const BATCH: Flag = Flag::value("--batch", Int, "N", "cells per checkpoint append (default auto)");
+    pub const ABORT_AFTER: Flag = Flag::value("--abort-after", Int, "N", "stop the shard after N new cells (crash injection)");
+
+    pub const SIZING: &[&Flag] = &[&ROB, &WARMUP, &MEASURE, &SCALE, &SEED, &MAX_CYCLES, &FAST];
+    pub const GRID: &[&Flag] = &[&WORKLOADS, &MECHS, &THREADS];
+    pub const OUTPUTS: &[&Flag] = &[&OUT, &TRACE_OUT];
+    pub const STORE_GROUP: &[&Flag] = &[&RECORD, &STORE];
+}
+use flags::*;
+
+/// Every subcommand form: command words, positionals, help line, flags.
+#[rustfmt::skip]
+const FORMS: &[Form] = &[
+    Form::new("list", &[], "print the workload registry", &[], run_list),
+    Form::new("table1", &[], "print the simulated core configuration (Table 1)", &[SIZING], run_table1),
+    Form::new("run", &["<workload>"], "simulate one workload and print its measurement", &[SIZING, &[&MECH]], run_run),
+    Form::new("report", &["<workload>"], "simulate one workload and print its cycle accounting", &[SIZING, &[&MECH]], run_report),
+    Form::new("explain", &[], "criticality-provenance diagnostics over a grid (cdf-explain/1)",
+              &[SIZING, GRID, &[&CHAINS], OUTPUTS, STORE_GROUP], run_explain_command),
+    Form::new("telemetry", &["<workload>"], "simulate one workload with telemetry attached (cdf-telemetry/1)",
+              &[SIZING, &[&MECH, &INTERVAL], OUTPUTS], run_telemetry),
+    Form::new("profile", &["<workload>"], "simulate one workload with the host self-profiler attached (cdf-profile/1)",
+              &[SIZING, &[&MECH], OUTPUTS], run_profile),
+    Form::new("compare", &["<workload>"], "base vs CDF vs PRE table for one workload", &[SIZING], run_compare_workload),
+    Form::new("compare", &["<refA>", "<refB>"],
+              "classify every cell of two recorded runs (cdf-compare/1); a ref is latest, latest~N, a run id, or a commit prefix",
+              &[&[&STORE, &TOLERANCE, &OUT]], run_compare_store),
+    Form::new("record", &[], "run a grid and append one cdf-result/1 record per cell to the store",
+              &[SIZING, GRID, &[&FILTER, &STORE, &TELEMETRY, &EXPLAIN, &PROFILE]], run_record),
+    Form::new("sweep", &[], "run a (workload x mechanism) grid in parallel (cdf-sweep/1)",
+              &[SIZING, GRID, &[&TELEMETRY, &EXPLAIN, &PROFILE, &OUT], STORE_GROUP], run_sweep_command),
+    Form::new("fuzz", &[], "lockstep differential fuzzing against the functional oracle (cdf-fuzz/1); defaults --seeds 100 --start 0",
+              &[&[&SEEDS, &START, &BUDGET, &MECHS, &MINIMIZE, &SHRINK_BUDGET, &THREADS, &OUT, &REPORT]], run_fuzz),
+    Form { exclusive: &[(&MEM, &BOUNDARY)], ..Form::new("equiv", &[],
+              "each fuzz seed under an optimised variant and its reference (cdf-equiv/1); defaults --seeds 500 --start 1, the scheduler pair",
+              &[&[&SEEDS, &START, &MECHS, &THREADS, &MEM, &BOUNDARY, &REPORT]], run_equiv) },
+    Form { required: &[&WORKLOADS], ..Form::new("mix", &[],
+              "one workload per core (2+) on a shared memory system (cdf-mix/1); --mechs gives one mechanism per core or one for all",
+              &[SIZING, &[&WORKLOADS, &MECHS, &TELEMETRY, &PROFILE, &OUT], STORE_GROUP], run_mix) },
+    Form { required: &[&SPEC], ..Form::new("campaign run", &[],
+              "initialise a campaign directory from a spec and run it to completion; --threads is the total, split across shards",
+              &[&[&SPEC, &DIR, &SHARDS, &THREADS, &STORE, &NO_RECORD]], campaign_run) },
+    Form { required: &[&DIR], ..Form::new("campaign resume", &[], "restart a killed campaign exactly where it stopped",
+              &[&[&DIR, &THREADS, &STORE, &NO_RECORD]], campaign_resume) },
+    Form { required: &[&DIR], ..Form::new("campaign status", &[], "streaming aggregate of the journals, usable mid-run",
+              &[&[&DIR]], campaign_status) },
+    Form { required: &[&DIR, &SHARD], ..Form::new("campaign shard", &[], "run one shard in this process (what `campaign run` spawns)",
+              &[&[&DIR, &SHARD, &THREADS, &BATCH, &ABORT_AFTER]], campaign_shard) },
+];
+
+fn main() {
+    cli::main("cdf-sim", FORMS);
 }
 
-fn run_fuzz_command(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--seeds", true),
-            ("--start", true),
-            ("--budget", true),
-            ("--shrink-budget", true),
-            ("--threads", true),
-            ("--mechs", true),
-            ("--minimize", false),
-            ("--report", true),
-            ("--out", true),
-        ],
-    );
-    let mut cfg = cdf_sim::FuzzConfig::default();
-    if let Some(v) = flag_value(args, "--seeds") {
-        cfg.seeds = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--start") {
-        cfg.start_seed = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--budget") {
-        cfg.budget_uops = Some(v.parse().unwrap_or_else(|_| usage()));
-    }
-    if let Some(v) = flag_value(args, "--shrink-budget") {
-        cfg.shrink_budget = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--threads") {
-        cfg.threads = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
-    }
-    cfg.minimize = args.iter().any(|a| a == "--minimize");
-    let report = cdf_sim::run_fuzz(&cfg);
-    print!("{}", report.render_summary());
-    if let Some(path) = flag_value(args, "--report") {
-        std::fs::write(path, report.to_json().render_pretty()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {path}");
-    }
-    if let Some(dir) = flag_value(args, "--out") {
-        if report.clean() {
-            eprintln!("no failures; nothing written to {dir}");
-        } else {
-            let paths = report
-                .write_corpus(std::path::Path::new(dir))
-                .unwrap_or_else(|e| {
-                    eprintln!("writing corpus to {dir}: {e}");
-                    exit(1)
-                });
-            for p in paths {
-                eprintln!("wrote {}", p.display());
-            }
-        }
-    }
-    if !report.clean() {
-        exit(4);
-    }
+/// A refusal found after parsing (a value that only fails in context).
+fn refuse(command: &str, message: &str) -> ! {
+    cli::exit_usage("cdf-sim", FORMS, Some(command), message)
 }
 
-fn run_equiv_command(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--mem", false),
-            ("--boundary", false),
-            ("--seeds", true),
-            ("--start", true),
-            ("--threads", true),
-            ("--mechs", true),
-            ("--report", true),
-        ],
-    );
-    let mut cfg = cdf_sim::EquivConfig::default();
-    if args.iter().any(|a| a == "--mem") {
-        cfg.axis = cdf_sim::EquivAxis::MemModel;
-    }
-    if args.iter().any(|a| a == "--boundary") {
-        cfg.axis = cdf_sim::EquivAxis::Boundary;
-    }
-    if let Some(v) = flag_value(args, "--seeds") {
-        cfg.seeds = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--start") {
-        cfg.start_seed = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(v) = flag_value(args, "--threads") {
-        cfg.threads = v.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
-    }
-    let report = cdf_sim::run_equivalence(&cfg);
-    println!("{}", report.render_summary());
-    if let Some(path) = flag_value(args, "--report") {
-        std::fs::write(path, report.to_json().render_pretty()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {path}");
-    }
-    if !report.clean() {
-        exit(5);
-    }
-}
+// ---------------------------------------------------------------------------
+// Shared readers.
+// ---------------------------------------------------------------------------
 
-fn parse_eval(args: &[String]) -> EvalConfig {
-    let mut cfg = if args.iter().any(|a| a == "--fast") {
+/// The evaluation sizing: `--fast` picks the preset, the other sizing
+/// flags, `--telemetry`/`--interval` and `--explain` override it.
+fn eval_config(a: &Args) -> EvalConfig {
+    let mut cfg = if a.has(&FAST) {
         EvalConfig::quick()
     } else {
         EvalConfig::default()
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    usage()
-                })
-                .clone()
-        };
-        match a.as_str() {
-            "--rob" => {
-                let rob: usize = val("--rob").parse().unwrap_or_else(|_| usage());
-                if rob == 0 {
-                    eprintln!("--rob must be at least 1 (a zero-entry ROB never retires)");
-                    usage();
-                }
-                cfg.core = CoreConfig {
-                    mode: cfg.core.mode.clone(),
-                    ..cfg.core.clone().with_scaled_window(rob)
-                };
-            }
-            "--warmup" => {
-                cfg.warmup_instructions = val("--warmup").parse().unwrap_or_else(|_| usage())
-            }
-            "--measure" => {
-                cfg.measure_instructions = val("--measure").parse().unwrap_or_else(|_| usage())
-            }
-            "--scale" => cfg.gen.scale = val("--scale").parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.gen.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--max-cycles" => {
-                cfg.max_cycles = Some(val("--max-cycles").parse().unwrap_or_else(|_| usage()))
-            }
-            _ => {}
-        }
+    if let Some(rob) = a.int(&ROB) {
+        cfg.core = cfg.core.clone().with_scaled_window(rob as usize);
     }
+    if let Some(v) = a.int(&WARMUP) {
+        cfg.warmup_instructions = v;
+    }
+    if let Some(v) = a.int(&MEASURE) {
+        cfg.measure_instructions = v;
+    }
+    if let Some(v) = a.float(&SCALE) {
+        cfg.gen.scale = v;
+    }
+    if let Some(v) = a.int(&SEED) {
+        cfg.gen.seed = v;
+    }
+    if let Some(v) = a.int(&MAX_CYCLES) {
+        cfg.max_cycles = Some(v);
+    }
+    if let Some(interval) = a.int(&TELEMETRY).or(a.int(&INTERVAL)) {
+        cfg.telemetry = Some(TelemetryConfig {
+            interval,
+            ..TelemetryConfig::default()
+        });
+    }
+    cfg.diagnostics = a.has(&EXPLAIN);
     cfg
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The grid selection (`--workloads/--mechs/--threads`, `--profile`) over
+/// the full registry grid at the given sizing.
+fn sweep_config(a: &Args) -> SweepConfig {
+    let mut cfg = SweepConfig::full_grid(eval_config(a));
+    if let Some(w) = a.list(&WORKLOADS) {
+        cfg.workloads = w.to_vec();
+    }
+    if let Some(m) = a.mechs(&MECHS) {
+        cfg.mechanisms = m.to_vec();
+    }
+    cfg.threads = a.int(&THREADS).unwrap_or(0) as usize;
+    cfg.profile = a.has(&PROFILE);
+    cfg
 }
 
-/// Shared sizing flags accepted by every subcommand that calls
-/// [`parse_eval`]: `(name, takes_value)`.
-const SIZING_FLAGS: &[(&str, bool)] = &[
-    ("--rob", true),
-    ("--warmup", true),
-    ("--measure", true),
-    ("--scale", true),
-    ("--seed", true),
-    ("--max-cycles", true),
-    ("--fast", false),
-];
+fn mech(a: &Args) -> Mechanism {
+    a.mech(&MECH).unwrap_or(Mechanism::Cdf)
+}
 
-/// Rejects any `--flag` not in `allowed` (a `(name, takes_value)` list) with
-/// a hard usage error. A mistyped flag must fail loudly — [`parse_eval`]'s
-/// permissive scan would otherwise silently run the default configuration
-/// and report numbers the user did not ask for.
-fn reject_unknown_flags(args: &[String], allowed: &[(&str, bool)]) {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if !a.starts_with("--") {
-            continue;
+/// The `--store` flag, defaulting to the standard store location.
+fn store_path(a: &Args) -> PathBuf {
+    PathBuf::from(a.text(&STORE).unwrap_or(cdf_sim::DEFAULT_STORE_PATH))
+}
+
+fn write_file(path: &str, contents: String, what: &str) {
+    or_exit(
+        std::fs::write(path, contents),
+        1,
+        &format!("writing {path}"),
+    );
+    eprintln!("wrote {what} to {path}");
+}
+
+/// Unwraps `r`, or prints the error (after `context`, unless empty) and
+/// exits with `code`.
+fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>, code: i32, context: &str) -> T {
+    r.unwrap_or_else(|e| {
+        match context {
+            "" => eprintln!("{e}"),
+            c => eprintln!("{c}: {e}"),
         }
-        match allowed.iter().find(|(name, _)| name == a) {
-            Some((_, true)) => {
-                it.next();
-            }
-            Some((_, false)) => {}
-            None => {
-                eprintln!("unknown flag `{a}`");
-                usage()
-            }
-        }
+        exit(code)
+    })
+}
+
+/// `--record`: tees a finished sweep into the store.
+fn record(a: &Args, sweep: &Sweep) {
+    let store = store_path(a);
+    let context = format!("recording to {}", store.display());
+    let run_id = or_exit(cdf_sim::record_sweep(&store, sweep), 1, &context);
+    eprintln!(
+        "recorded {} cell(s) to {} as run {run_id}",
+        sweep.cells.len(),
+        store.display()
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Single-workload subcommands.
+// ---------------------------------------------------------------------------
+
+fn run_list(_: &Args) {
+    for name in registry::NAMES {
+        let w = registry::by_name(name, &cdf_workloads::GenConfig::test()).expect("known");
+        println!(
+            "{name:14} stands in for {:28} — {}",
+            w.stands_in_for, w.description
+        );
     }
 }
 
-/// Parses the mechanism flag shared by `run`, `report`, and `telemetry`.
-fn parse_mech(args: &[String]) -> Mechanism {
-    match flag_value(args, "--mech") {
-        None => Mechanism::Cdf,
-        Some(s) => Mechanism::parse(s).unwrap_or_else(|| {
-            eprintln!("unknown mechanism `{s}`");
-            usage()
-        }),
-    }
+fn run_table1(a: &Args) {
+    print!("{}", table1_text(&eval_config(a).core));
 }
 
-/// Runs one workload with telemetry attached, exiting on failure.
-fn measure_with_telemetry(
-    name: &str,
-    mech: Mechanism,
-    cfg: &EvalConfig,
-) -> (cdf_sim::Measurement, cdf_core::Telemetry) {
-    let w = registry::lookup(name, &cfg.gen).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
-    match run_workload(&w, mech.mode(), mech.label(), cfg, false) {
-        Ok(RunOutput {
-            measurement,
-            telemetry: Some(tel),
-            ..
-        }) => (measurement, tel),
-        Ok(_) => unreachable!("telemetry was enabled in the config"),
-        Err(e) => {
-            eprintln!("{e}");
-            exit(1)
-        }
-    }
-}
-
-fn run_report_command(args: &[String]) {
-    let name = args.first().cloned().unwrap_or_else(|| usage());
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([("--mech", true)])
-        .collect();
-    reject_unknown_flags(&args[1..], &allowed);
-    let mech = parse_mech(args);
-    let mut cfg = parse_eval(&args[1..]);
-    cfg.telemetry = Some(TelemetryConfig::default());
-    let (m, tel) = measure_with_telemetry(&name, mech, &cfg);
+fn run_run(a: &Args) {
+    let m = or_exit(
+        cdf_sim::try_simulate(&a.positionals()[0], mech(a), &eval_config(a)),
+        1,
+        "",
+    );
     print_measurement(&m);
+}
+
+/// Runs one workload with the given extras attached, exiting on failure.
+fn run_one(a: &Args, cfg: &EvalConfig, profile: bool) -> RunOutput {
+    let w = or_exit(registry::lookup(&a.positionals()[0], &cfg.gen), 1, "");
+    let m = mech(a);
+    or_exit(run_workload(&w, m.mode(), m.label(), cfg, profile), 1, "")
+}
+
+/// One run with telemetry attached: prints the measurement and the
+/// whole-run cycle accounting.
+fn run_with_accounting(a: &Args) -> cdf_core::Telemetry {
+    let mut cfg = eval_config(a);
+    cfg.telemetry.get_or_insert_with(TelemetryConfig::default);
+    let out = run_one(a, &cfg, false);
+    let tel = out.telemetry.expect("telemetry was enabled in the config");
+    print_measurement(&out.measurement);
     println!("\ncycle accounting (whole run, warmup + measurement):");
     print!("{}", accounting_table(&tel.accounting));
+    tel
 }
 
-fn run_telemetry_command(args: &[String]) {
-    let name = args.first().cloned().unwrap_or_else(|| usage());
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([
-            ("--mech", true),
-            ("--interval", true),
-            ("--out", true),
-            ("--trace-out", true),
-        ])
-        .collect();
-    reject_unknown_flags(&args[1..], &allowed);
-    let mech = parse_mech(args);
-    let mut cfg = parse_eval(&args[1..]);
-    let mut tcfg = TelemetryConfig::default();
-    if let Some(i) = flag_value(args, "--interval") {
-        tcfg.interval = i.parse().unwrap_or_else(|_| usage());
-    }
-    cfg.telemetry = Some(tcfg);
-    let (m, tel) = measure_with_telemetry(&name, mech, &cfg);
-    print_measurement(&m);
-    println!("\ncycle accounting (whole run, warmup + measurement):");
-    print!("{}", accounting_table(&tel.accounting));
+fn run_report(a: &Args) {
+    run_with_accounting(a);
+}
+
+fn run_telemetry(a: &Args) {
+    let tel = run_with_accounting(a);
     println!(
         "\nintervals     : {} retained (+{} evicted into totals), {} cycles/sample",
         tel.intervals.len(),
@@ -457,213 +292,91 @@ fn run_telemetry_command(args: &[String]) {
         tel.events().len(),
         tel.events_dropped()
     );
-    let write = |path: &str, contents: String, what: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {what} to {path}");
-    };
-    if let Some(path) = flag_value(args, "--out") {
-        write(path, telemetry_json(&tel).render_pretty(), "telemetry JSON");
+    if let Some(path) = a.text(&OUT) {
+        write_file(path, telemetry_json(&tel).render_pretty(), "telemetry JSON");
     }
-    if let Some(path) = flag_value(args, "--trace-out") {
-        write(path, trace_events_json(&tel).render(), "trace events");
+    if let Some(path) = a.text(&TRACE_OUT) {
+        write_file(path, trace_events_json(&tel).render(), "trace events");
     }
 }
 
 /// `cdf-sim profile <workload>` — run one cell with the host self-profiler
 /// attached and report where the simulator's own wall-clock time went.
-fn run_profile_command(args: &[String]) {
-    let name = args.first().cloned().unwrap_or_else(|| usage());
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([("--mech", true), ("--out", true), ("--trace-out", true)])
-        .collect();
-    reject_unknown_flags(&args[1..], &allowed);
-    let mech = parse_mech(args);
-    let cfg = parse_eval(&args[1..]);
-    let w = registry::lookup(&name, &cfg.gen).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
-    let out = run_workload(&w, mech.mode(), mech.label(), &cfg, true).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
-    let m = out.measurement;
+fn run_profile(a: &Args) {
+    let out = run_one(a, &eval_config(a), true);
     let p = out.profile.expect("profiling was requested");
-    print_measurement(&m);
+    print_measurement(&out.measurement);
     println!();
     print!("{}", profile_table(&p));
-    let write = |path: &str, contents: String, what: &str| {
-        std::fs::write(path, contents).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {what} to {path}");
-    };
-    if let Some(path) = flag_value(args, "--out") {
-        write(
-            path,
-            profile_json(&p, &name, mech.label()).render_pretty(),
-            "profile JSON",
-        );
+    if let Some(path) = a.text(&OUT) {
+        let doc = profile_json(&p, &a.positionals()[0], mech(a).label());
+        write_file(path, doc.render_pretty(), "profile JSON");
     }
-    if let Some(path) = flag_value(args, "--trace-out") {
-        write(path, profile_trace_json(&p).render(), "trace events");
+    if let Some(path) = a.text(&TRACE_OUT) {
+        write_file(path, profile_trace_json(&p).render(), "trace events");
     }
 }
 
-fn run_explain_command(args: &[String]) {
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([
-            ("--workloads", true),
-            ("--mechs", true),
-            ("--threads", true),
-            ("--chains", true),
-            ("--out", true),
-            ("--trace-out", true),
-            ("--record", false),
-            ("--store", true),
-        ])
-        .collect();
-    reject_unknown_flags(args, &allowed);
-    let eval = parse_eval(args);
-    let mut cfg = ExplainConfig::full_grid(eval);
-    if let Some(list) = flag_value(args, "--workloads") {
-        cfg.workloads = list.split(',').map(str::to_string).collect();
-    }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        cfg.threads = t.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(n) = flag_value(args, "--chains") {
-        cfg.chain_limit = n.parse().unwrap_or_else(|_| usage());
-    }
-    let report = run_explain(&cfg);
-    print!("{}", report.render_summary());
-    if let Some(path) = flag_value(args, "--out") {
-        report
-            .write_json(std::path::Path::new(path))
-            .unwrap_or_else(|e| {
-                eprintln!("writing {path}: {e}");
-                exit(1)
-            });
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = flag_value(args, "--trace-out") {
-        std::fs::write(path, report.chain_trace_events().render()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote chain spans to {path}");
-    }
-    if args.iter().any(|a| a == "--record") {
-        let store = cdf_sim::ResultStore::open(store_path(args));
-        let prov = cdf_core::Provenance::capture();
-        let recorded = store
-            .reserve_run_id(&prov)
-            .and_then(|run_id| {
-                let records =
-                    cdf_sim::records_from_explain(&run_id, &prov, &cfg.eval, &report.cells);
-                store.append(&records).map(|()| (run_id, records.len()))
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("recording to {}: {e}", store.path().display());
-                exit(1)
-            });
-        eprintln!(
-            "recorded {} cell(s) to {} as run {}",
-            recorded.1,
-            store.path().display(),
-            recorded.0
+/// Legacy form: base/cdf/pre mechanism table for one workload.
+fn run_compare_workload(a: &Args) {
+    let name = &a.positionals()[0];
+    let cfg = eval_config(a);
+    let base = or_exit(
+        cdf_sim::try_simulate(name, Mechanism::Baseline, &cfg),
+        1,
+        "",
+    );
+    let cdf = simulate(name, Mechanism::Cdf, &cfg);
+    let pre = simulate(name, Mechanism::Pre, &cfg);
+    println!(
+        "{:10} {:>8} {:>8} {:>8} {:>12} {:>12}",
+        "mech", "IPC", "speedup", "MLP", "DRAM lines", "energy (uJ)"
+    );
+    for m in [&base, &cdf, &pre] {
+        println!(
+            "{:10} {:>8.3} {:>7.1}% {:>8.2} {:>12} {:>12.1}",
+            m.mechanism,
+            m.ipc,
+            (m.ipc / base.ipc - 1.0) * 100.0,
+            m.mlp,
+            m.dram_lines,
+            m.energy_nj / 1000.0
         );
     }
-    if report.counts().1 > 0 {
+}
+
+// ---------------------------------------------------------------------------
+// Grid subcommands and the results store.
+// ---------------------------------------------------------------------------
+
+fn run_explain_command(a: &Args) {
+    let chain_limit = a
+        .int(&CHAINS)
+        .map_or(cdf_sim::explain::DEFAULT_CHAIN_LIMIT, |n| n as usize);
+    let report = run_explain(&sweep_config(a), chain_limit);
+    print!("{}", report.render_summary());
+    if let Some(path) = a.text(&OUT) {
+        write_file(path, report.to_json().render_pretty(), "cdf-explain/1 JSON");
+    }
+    if let Some(path) = a.text(&TRACE_OUT) {
+        write_file(path, report.chain_trace_events().render(), "chain spans");
+    }
+    if a.has(&RECORD) {
+        record(a, &report.sweep);
+    }
+    if report.sweep.counts().1 > 0 {
         exit(3);
     }
 }
 
-fn run_sweep_command(args: &[String]) {
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([
-            ("--workloads", true),
-            ("--mechs", true),
-            ("--threads", true),
-            ("--telemetry", true),
-            ("--explain", false),
-            ("--profile", false),
-            ("--record", false),
-            ("--store", true),
-            ("--out", true),
-        ])
-        .collect();
-    reject_unknown_flags(args, &allowed);
-    let mut eval = parse_eval(args);
-    if let Some(i) = flag_value(args, "--telemetry") {
-        eval.telemetry = Some(TelemetryConfig {
-            interval: i.parse().unwrap_or_else(|_| usage()),
-            ..TelemetryConfig::default()
-        });
-    }
-    eval.diagnostics = args.iter().any(|a| a == "--explain");
-    let mut cfg = SweepConfig::full_grid(eval);
-    cfg.profile = args.iter().any(|a| a == "--profile");
-    if let Some(list) = flag_value(args, "--workloads") {
-        cfg.workloads = list.split(',').map(str::to_string).collect();
-    }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        cfg.threads = t.parse().unwrap_or_else(|_| usage());
-    }
-    let sweep = run_sweep(&cfg);
+fn run_sweep_command(a: &Args) {
+    let sweep = run_sweep(&sweep_config(a));
     print!("{}", sweep.render_summary());
-    if let Some(path) = flag_value(args, "--out") {
-        sweep
-            .write_json(std::path::Path::new(path))
-            .unwrap_or_else(|e| {
-                eprintln!("writing {path}: {e}");
-                exit(1)
-            });
-        eprintln!("wrote {path}");
+    if let Some(path) = a.text(&OUT) {
+        write_file(path, sweep.to_json().render_pretty(), "cdf-sweep/1 JSON");
     }
-    if args.iter().any(|a| a == "--record") {
-        let store = store_path(args);
-        let run_id = cdf_sim::record_sweep(&store, &sweep).unwrap_or_else(|e| {
-            eprintln!("recording to {}: {e}", store.display());
-            exit(1)
-        });
-        eprintln!(
-            "recorded {} cell(s) to {} as run {run_id}",
-            sweep.cells.len(),
-            store.display()
-        );
+    if a.has(&RECORD) {
+        record(a, &sweep);
     }
     // Failed cells are recorded, not fatal — but reflect them in the exit
     // status so scripts notice.
@@ -672,70 +385,84 @@ fn run_sweep_command(args: &[String]) {
     }
 }
 
-fn run_mix_command(args: &[String]) {
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([
-            ("--workloads", true),
-            ("--mechs", true),
-            ("--telemetry", true),
-            ("--profile", false),
-            ("--out", true),
-            ("--record", false),
-            ("--store", true),
-        ])
-        .collect();
-    reject_unknown_flags(args, &allowed);
-    let mut eval = parse_eval(args);
-    if let Some(i) = flag_value(args, "--telemetry") {
-        eval.telemetry = Some(TelemetryConfig {
-            interval: i.parse().unwrap_or_else(|_| usage()),
-            ..TelemetryConfig::default()
-        });
+fn run_record(a: &Args) {
+    let store = store_path(a);
+    let run = cdf_sim::run_record(&sweep_config(a), a.text(&FILTER), &store);
+    let run = or_exit(run, 1, &format!("recording to {}", store.display()));
+    if run.records.is_empty() {
+        refuse("record", "`--filter` matched no cells");
     }
-    let workloads: Vec<String> = flag_value(args, "--workloads")
-        .unwrap_or_else(|| {
-            eprintln!("mix needs --workloads a,b[,c,...] (one per core)");
-            usage()
-        })
-        .split(',')
-        .map(str::to_string)
-        .collect();
-    if workloads.len() < 2 {
-        eprintln!("a mix needs at least two cores (got {})", workloads.len());
-        usage();
+    println!(
+        "recorded {} cell(s) to {} as run {} ({} failed)",
+        run.records.len(),
+        store.display(),
+        run.run_id,
+        run.failed
+    );
+    if run.failed > 0 {
+        exit(3);
     }
-    let mechs: Vec<Mechanism> = match flag_value(args, "--mechs") {
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect(),
-        None => vec![Mechanism::Cdf],
+}
+
+/// Store form: join two recorded runs and classify every cell.
+fn run_compare_store(a: &Args) {
+    let (ref_a, ref_b) = (&a.positionals()[0], &a.positionals()[1]);
+    let store = cdf_sim::ResultStore::open(store_path(a));
+    let path = store.path().display();
+    let records = or_exit(store.load(), 1, &format!("loading {path}"));
+    let resolve = |wanted: &str| {
+        let context = format!("resolving {wanted:?} in {path}");
+        or_exit(cdf_sim::resolve_ref(&records, wanted), 1, &context)
     };
-    if mechs.len() != 1 && mechs.len() != workloads.len() {
-        eprintln!(
-            "--mechs needs one mechanism (for every core) or one per core ({} cores, {} mechanisms)",
-            workloads.len(),
-            mechs.len()
+    let run_a = resolve(ref_a);
+    let run_b = resolve(ref_b);
+    let mut cfg = cdf_sim::CompareConfig::default();
+    if let Some(t) = a.float(&TOLERANCE) {
+        cfg.wall_tolerance = t;
+    }
+    let report = cdf_sim::compare_runs(
+        (ref_a, &cdf_sim::records_for_run(&records, &run_a)),
+        (ref_b, &cdf_sim::records_for_run(&records, &run_b)),
+        &cfg,
+    );
+    print!("{}", report.render_summary());
+    if let Some(path) = a.text(&OUT) {
+        write_file(path, report.to_json().render_pretty(), "cdf-compare/1 JSON");
+    }
+    // Exit 4 on regression, matching the fuzzer's divergence exit.
+    if report.has_regressions() {
+        exit(4);
+    }
+}
+
+fn run_mix(a: &Args) {
+    let eval = eval_config(a);
+    let workloads = a.list(&WORKLOADS).expect("required flag").to_vec();
+    if workloads.len() < 2 {
+        refuse(
+            "mix",
+            &format!("a mix needs at least two cores (got {})", workloads.len()),
         );
-        usage();
+    }
+    let mechs = a.mechs(&MECHS).map_or(vec![Mechanism::Cdf], <[_]>::to_vec);
+    if mechs.len() != 1 && mechs.len() != workloads.len() {
+        refuse(
+            "mix",
+            &format!(
+                "--mechs needs one mechanism (for every core) or one per core \
+                 ({} cores, {} mechanisms)",
+                workloads.len(),
+                mechs.len()
+            ),
+        );
     }
     let mut cfg = cdf_sim::MixConfig::new(workloads, mechs);
     if let Some(budget) = eval.max_cycles {
         cfg.cycle_budget = budget;
     }
     cfg.eval = eval;
-    cfg.profile = args.iter().any(|a| a == "--profile");
-    let report = cdf_sim::run_mix(&cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
+    cfg.profile = a.has(&PROFILE);
+    let report = or_exit(cdf_sim::run_mix(&cfg), 1, "");
 
     println!(
         "{} cores, {} cycles, {} MSHR steals, channel utilization [{}]",
@@ -768,273 +495,132 @@ fn run_mix_command(args: &[String]) {
         print!("{}", profile_table(p));
     }
 
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = a.text(&OUT) {
         let mut body = cdf_sim::mix_json(&report).render();
         body.push('\n');
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {path}");
+        write_file(path, body, "cdf-mix/1 JSON");
     }
-    if args.iter().any(|a| a == "--record") {
-        let store = cdf_sim::ResultStore::open(store_path(args));
-        let run_id = store
-            .reserve_run_id(&report.provenance)
-            .unwrap_or_else(|e| {
-                eprintln!("recording to {}: {e}", store.path().display());
-                exit(1)
-            });
-        let records = cdf_sim::records_from_mix(&run_id, &report.provenance, &report);
-        store.append(&records).unwrap_or_else(|e| {
-            eprintln!("recording to {}: {e}", store.path().display());
-            exit(1)
+    if a.has(&RECORD) {
+        let store = cdf_sim::ResultStore::open(store_path(a));
+        let recorded = store.reserve_run_id(&report.provenance).and_then(|run_id| {
+            let records = cdf_sim::records_from_mix(&run_id, &report.provenance, &report);
+            store.append(&records).map(|()| (run_id, records.len()))
         });
+        let context = format!("recording to {}", store.path().display());
+        let (run_id, n) = or_exit(recorded, 1, &context);
         eprintln!(
-            "recorded {} core(s) to {} as run {run_id}",
-            records.len(),
+            "recorded {n} core(s) to {} as run {run_id}",
             store.path().display()
         );
     }
 }
 
-/// The `--store` flag, defaulting to the standard store location.
-fn store_path(args: &[String]) -> std::path::PathBuf {
-    flag_value(args, "--store")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from(cdf_sim::DEFAULT_STORE_PATH))
-}
+// ---------------------------------------------------------------------------
+// Checking subcommands.
+// ---------------------------------------------------------------------------
 
-fn run_record_command(args: &[String]) {
-    let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain([
-            ("--workloads", true),
-            ("--mechs", true),
-            ("--threads", true),
-            ("--filter", true),
-            ("--store", true),
-            ("--telemetry", true),
-            ("--explain", false),
-            ("--profile", false),
-        ])
-        .collect();
-    reject_unknown_flags(args, &allowed);
-    let mut eval = parse_eval(args);
-    if let Some(i) = flag_value(args, "--telemetry") {
-        eval.telemetry = Some(TelemetryConfig {
-            interval: i.parse().unwrap_or_else(|_| usage()),
-            ..TelemetryConfig::default()
-        });
+fn run_fuzz(a: &Args) {
+    let mut cfg = cdf_sim::FuzzConfig::default();
+    if let Some(v) = a.int(&SEEDS) {
+        cfg.seeds = v;
     }
-    eval.diagnostics = args.iter().any(|a| a == "--explain");
-    let mut cfg = cdf_sim::RecordConfig::full_grid(eval);
-    cfg.profile = args.iter().any(|a| a == "--profile");
-    if let Some(list) = flag_value(args, "--workloads") {
-        cfg.workloads = list.split(',').map(str::to_string).collect();
+    if let Some(v) = a.int(&START) {
+        cfg.start_seed = v;
     }
-    if let Some(list) = flag_value(args, "--mechs") {
-        cfg.mechanisms = list
-            .split(',')
-            .map(|s| {
-                Mechanism::parse(s).unwrap_or_else(|| {
-                    eprintln!("unknown mechanism `{s}`");
-                    usage()
-                })
-            })
-            .collect();
+    cfg.budget_uops = a.int(&BUDGET);
+    if let Some(v) = a.int(&SHRINK_BUDGET) {
+        cfg.shrink_budget = u32::try_from(v).unwrap_or(u32::MAX);
     }
-    if let Some(t) = flag_value(args, "--threads") {
-        cfg.threads = t.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = a.int(&THREADS) {
+        cfg.threads = v as usize;
     }
-    cfg.filter = flag_value(args, "--filter").map(str::to_string);
-    cfg.store_path = store_path(args);
-    let run = cdf_sim::run_record(&cfg).unwrap_or_else(|e| {
-        eprintln!("recording to {}: {e}", cfg.store_path.display());
-        exit(1)
-    });
-    println!(
-        "recorded {} cell(s) to {} as run {} ({} failed)",
-        run.records.len(),
-        cfg.store_path.display(),
-        run.run_id,
-        run.failed
-    );
-    if run.records.is_empty() {
-        eprintln!("the filter matched no cells");
-        exit(2);
+    if let Some(m) = a.mechs(&MECHS) {
+        cfg.mechanisms = m.to_vec();
     }
-    if run.failed > 0 {
-        exit(3);
-    }
-}
-
-/// Positional (non-`--flag`) arguments, given the flag table in effect.
-fn positionals(args: &[String], flags: &[(&str, bool)]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            if let Some((_, true)) = flags.iter().find(|(name, _)| name == a) {
-                it.next();
-            }
-            continue;
-        }
-        out.push(a.clone());
-    }
-    out
-}
-
-const COMPARE_FLAGS: &[(&str, bool)] = &[("--store", true), ("--tolerance", true), ("--out", true)];
-
-/// `cdf-sim compare` front end. One positional: the legacy per-workload
-/// mechanism table. Two positionals: the store-backed cross-run diff.
-fn run_compare_command(args: &[String]) {
-    let flags: Vec<(&str, bool)> = SIZING_FLAGS
-        .iter()
-        .copied()
-        .chain(COMPARE_FLAGS.iter().copied())
-        .collect();
-    match positionals(args, &flags).as_slice() {
-        [workload] => run_compare_workload(workload, args),
-        [ref_a, ref_b] => run_compare_store(ref_a, ref_b, args),
-        _ => usage(),
-    }
-}
-
-/// Legacy form: base/cdf/pre mechanism table for one workload.
-fn run_compare_workload(name: &str, args: &[String]) {
-    reject_unknown_flags(args, SIZING_FLAGS);
-    let cfg = parse_eval(args);
-    let base = cdf_sim::try_simulate(name, Mechanism::Baseline, &cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1)
-    });
-    let cdf = simulate(name, Mechanism::Cdf, &cfg);
-    let pre = simulate(name, Mechanism::Pre, &cfg);
-    println!(
-        "{:10} {:>8} {:>8} {:>8} {:>12} {:>12}",
-        "mech", "IPC", "speedup", "MLP", "DRAM lines", "energy (uJ)"
-    );
-    for m in [&base, &cdf, &pre] {
-        println!(
-            "{:10} {:>8.3} {:>7.1}% {:>8.2} {:>12} {:>12.1}",
-            m.mechanism,
-            m.ipc,
-            (m.ipc / base.ipc - 1.0) * 100.0,
-            m.mlp,
-            m.dram_lines,
-            m.energy_nj / 1000.0
-        );
-    }
-}
-
-/// Store form: join two recorded runs and classify every cell.
-fn run_compare_store(ref_a: &str, ref_b: &str, args: &[String]) {
-    reject_unknown_flags(args, COMPARE_FLAGS);
-    let store = cdf_sim::ResultStore::open(store_path(args));
-    let records = store.load().unwrap_or_else(|e| {
-        eprintln!("loading {}: {e}", store.path().display());
-        exit(1)
-    });
-    let resolve = |wanted: &str| {
-        cdf_sim::resolve_ref(&records, wanted).unwrap_or_else(|e| {
-            eprintln!("resolving {wanted:?} in {}: {e}", store.path().display());
-            exit(1)
-        })
-    };
-    let run_a = resolve(ref_a);
-    let run_b = resolve(ref_b);
-    let mut cfg = cdf_sim::CompareConfig::default();
-    if let Some(t) = flag_value(args, "--tolerance") {
-        cfg.wall_tolerance = t.parse().unwrap_or_else(|_| usage());
-    }
-    let report = cdf_sim::compare_runs(
-        (ref_a, &cdf_sim::records_for_run(&records, &run_a)),
-        (ref_b, &cdf_sim::records_for_run(&records, &run_b)),
-        &cfg,
-    );
+    cfg.minimize = a.has(&MINIMIZE);
+    let report = cdf_sim::run_fuzz(&cfg);
     print!("{}", report.render_summary());
-    if let Some(path) = flag_value(args, "--out") {
-        std::fs::write(path, report.to_json().render_pretty()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            exit(1)
-        });
-        eprintln!("wrote {path}");
+    if let Some(path) = a.text(&REPORT) {
+        write_file(path, report.to_json().render_pretty(), "cdf-fuzz/1 JSON");
     }
-    // Exit 4 on regression, matching the fuzzer's divergence exit.
-    if report.has_regressions() {
+    if let Some(dir) = a.text(&OUT) {
+        if report.clean() {
+            eprintln!("no failures; nothing written to {dir}");
+        } else {
+            let written = report.write_corpus(std::path::Path::new(dir));
+            let paths = or_exit(written, 1, &format!("writing corpus to {dir}"));
+            for p in paths {
+                eprintln!("wrote {}", p.display());
+            }
+        }
+    }
+    if !report.clean() {
         exit(4);
     }
 }
 
-// ---------------------------------------------------------------------------
-// campaign subcommands
-// ---------------------------------------------------------------------------
-
-/// Exit codes: 2 spec/journal/state errors, 3 failed cells, 4 divergence.
-fn run_campaign_command(args: &[String]) {
-    match args.first().map(|s| s.as_str()) {
-        Some("run") => campaign_run(&args[1..]),
-        Some("resume") => campaign_resume(&args[1..]),
-        Some("status") => campaign_status_cmd(&args[1..]),
-        Some("shard") => campaign_shard(&args[1..]),
-        _ => usage(),
+fn run_equiv(a: &Args) {
+    let mut cfg = cdf_sim::EquivConfig::default();
+    if a.has(&MEM) {
+        cfg.axis = cdf_sim::EquivAxis::MemModel;
+    }
+    if a.has(&BOUNDARY) {
+        cfg.axis = cdf_sim::EquivAxis::Boundary;
+    }
+    if let Some(v) = a.int(&SEEDS) {
+        cfg.seeds = v;
+    }
+    if let Some(v) = a.int(&START) {
+        cfg.start_seed = v;
+    }
+    if let Some(v) = a.int(&THREADS) {
+        cfg.threads = v as usize;
+    }
+    if let Some(m) = a.mechs(&MECHS) {
+        cfg.mechanisms = m.to_vec();
+    }
+    let report = cdf_sim::run_equivalence(&cfg);
+    println!("{}", report.render_summary());
+    if let Some(path) = a.text(&REPORT) {
+        write_file(path, report.to_json().render_pretty(), "cdf-equiv/1 JSON");
+    }
+    if !report.clean() {
+        exit(5);
     }
 }
 
-fn campaign_dir(args: &[String]) -> std::path::PathBuf {
-    flag_value(args, "--dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| usage())
+// ---------------------------------------------------------------------------
+// campaign subcommands. Exit codes: 2 spec/journal/state errors, 3 failed
+// cells, 4 divergence.
+// ---------------------------------------------------------------------------
+
+fn campaign_load(a: &Args) -> cdf_sim::Campaign {
+    let dir = a.text(&DIR).expect("required flag");
+    or_exit(cdf_sim::load_campaign(std::path::Path::new(dir)), 2, "")
 }
 
-fn campaign_load(args: &[String]) -> cdf_sim::Campaign {
-    cdf_sim::load_campaign(&campaign_dir(args)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    })
+fn threads(a: &Args) -> usize {
+    a.int(&THREADS).unwrap_or(0) as usize
 }
 
-fn campaign_threads(args: &[String]) -> usize {
-    flag_value(args, "--threads")
-        .map(|t| t.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(0)
-}
-
-fn campaign_run(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--spec", true),
-            ("--dir", true),
-            ("--shards", true),
-            ("--threads", true),
-            ("--store", true),
-            ("--no-record", false),
-        ],
+fn campaign_run(a: &Args) {
+    let spec_path = a.text(&SPEC).expect("required flag");
+    let text = or_exit(
+        std::fs::read_to_string(spec_path),
+        2,
+        &format!("reading {spec_path}"),
     );
-    let spec_path = flag_value(args, "--spec").unwrap_or_else(|| usage());
-    let text = std::fs::read_to_string(spec_path).unwrap_or_else(|e| {
-        eprintln!("reading {spec_path}: {e}");
-        exit(2)
-    });
-    let spec = cdf_sim::CampaignSpec::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{spec_path}: {e}");
-        exit(2)
-    });
-    let dir = flag_value(args, "--dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from(".cdf-campaigns").join(&spec.name));
-    let shards: u64 = flag_value(args, "--shards")
-        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(1);
-    let c = cdf_sim::init_campaign(&dir, spec, shards, cdf_core::Provenance::capture())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        });
+    let spec = or_exit(cdf_sim::CampaignSpec::parse(&text), 2, spec_path);
+    let dir = a
+        .text(&DIR)
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from(".cdf-campaigns").join(&spec.name));
+    let shards = a.int(&SHARDS).unwrap_or(1);
+    let c = or_exit(
+        cdf_sim::init_campaign(&dir, spec, shards, cdf_core::Provenance::capture()),
+        2,
+        "",
+    );
     eprintln!(
         "campaign {}: {} cells across {} shard(s) in {}",
         c.spec.name,
@@ -1042,49 +628,27 @@ fn campaign_run(args: &[String]) {
         c.shards,
         c.dir.display()
     );
-    campaign_execute(&c, args);
+    campaign_execute(&c, a);
 }
 
-fn campaign_resume(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--dir", true),
-            ("--threads", true),
-            ("--store", true),
-            ("--no-record", false),
-        ],
-    );
-    campaign_execute(&campaign_load(args), args);
+fn campaign_resume(a: &Args) {
+    campaign_execute(&campaign_load(a), a);
 }
 
 /// Runs every shard to completion (in-process for one shard, one spawned
 /// `campaign shard` process each otherwise), then finalizes: report,
 /// store append, exit status.
-fn campaign_execute(c: &cdf_sim::Campaign, args: &[String]) {
-    let threads = campaign_threads(args);
+fn campaign_execute(c: &cdf_sim::Campaign, a: &Args) {
+    let threads = threads(a);
     if c.shards == 1 {
-        cdf_sim::run_shard(
-            c,
-            0,
-            &cdf_sim::ShardOptions {
-                threads,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        });
+        let opts = cdf_sim::ShardOptions {
+            threads,
+            ..Default::default()
+        };
+        or_exit(cdf_sim::run_shard(c, 0, &opts), 2, "");
     } else {
-        let exe = std::env::current_exe().unwrap_or_else(|e| {
-            eprintln!("resolving own executable: {e}");
-            exit(2)
-        });
-        let codes = cdf_sim::campaign::spawn_shards(c, &exe, threads).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        });
+        let exe = or_exit(std::env::current_exe(), 2, "resolving own executable");
+        let codes = or_exit(cdf_sim::campaign::spawn_shards(c, &exe, threads), 2, "");
         for (shard, code) in codes {
             if code != Some(0) {
                 eprintln!(
@@ -1095,15 +659,10 @@ fn campaign_execute(c: &cdf_sim::Campaign, args: &[String]) {
             }
         }
     }
-    let record = !args.iter().any(|a| a == "--no-record");
-    let store = store_path(args);
-    let (status, recorded) = cdf_sim::finalize_campaign(c, record.then_some(store.as_path()))
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2)
-        });
+    let store = (!a.has(&NO_RECORD)).then(|| store_path(a));
+    let (status, recorded) = or_exit(cdf_sim::finalize_campaign(c, store.as_deref()), 2, "");
     print!("{}", status.render_text());
-    if let Some(run_id) = &recorded {
+    if let (Some(run_id), Some(store)) = (&recorded, &store) {
         eprintln!(
             "recorded {} cell(s) to {} as run {run_id}",
             status.done,
@@ -1119,43 +678,20 @@ fn campaign_execute(c: &cdf_sim::Campaign, args: &[String]) {
     }
 }
 
-fn campaign_status_cmd(args: &[String]) {
-    reject_unknown_flags(args, &[("--dir", true)]);
-    let c = campaign_load(args);
-    let status = cdf_sim::campaign_status(&c).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    });
+fn campaign_status(a: &Args) {
+    let status = or_exit(cdf_sim::campaign_status(&campaign_load(a)), 2, "");
     print!("{}", status.render_text());
 }
 
-fn campaign_shard(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--dir", true),
-            ("--shard", true),
-            ("--threads", true),
-            ("--batch", true),
-            ("--abort-after", true),
-        ],
-    );
-    let c = campaign_load(args);
-    let shard: u64 = flag_value(args, "--shard")
-        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or_else(|| usage());
+fn campaign_shard(a: &Args) {
+    let c = campaign_load(a);
+    let shard = a.int(&SHARD).expect("required flag");
     let opts = cdf_sim::ShardOptions {
-        threads: campaign_threads(args),
-        batch: flag_value(args, "--batch")
-            .map(|b| b.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(0),
-        abort_after: flag_value(args, "--abort-after")
-            .map(|n| n.parse().unwrap_or_else(|_| usage())),
+        threads: threads(a),
+        batch: a.int(&BATCH).unwrap_or(0) as usize,
+        abort_after: a.int(&ABORT_AFTER).map(|n| n as usize),
     };
-    let run = cdf_sim::run_shard(&c, shard, &opts).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    });
+    let run = or_exit(cdf_sim::run_shard(&c, shard, &opts), 2, "");
     eprintln!(
         "shard {shard}: {} cell(s) completed, {} remaining",
         run.completed, run.remaining
@@ -1181,55 +717,5 @@ fn print_measurement(m: &cdf_sim::Measurement) {
     }
     if m.runahead_uops > 0 {
         println!("runahead uops : {}", m.runahead_uops);
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(|s| s.as_str()) {
-        Some("list") => {
-            reject_unknown_flags(&args[1..], &[]);
-            for name in registry::NAMES {
-                let w = registry::by_name(name, &cdf_workloads::GenConfig::test()).expect("known");
-                println!(
-                    "{name:14} stands in for {:28} — {}",
-                    w.stands_in_for, w.description
-                );
-            }
-        }
-        Some("table1") => {
-            reject_unknown_flags(&args[1..], SIZING_FLAGS);
-            print!("{}", table1_text(&parse_eval(&args[1..]).core));
-        }
-        Some("run") => {
-            let name = args.get(1).cloned().unwrap_or_else(|| usage());
-            let allowed: Vec<(&str, bool)> = SIZING_FLAGS
-                .iter()
-                .copied()
-                .chain([("--mech", true)])
-                .collect();
-            reject_unknown_flags(&args[2..], &allowed);
-            let mech = parse_mech(&args);
-            let cfg = parse_eval(&args[2..]);
-            match cdf_sim::try_simulate(&name, mech, &cfg) {
-                Ok(m) => print_measurement(&m),
-                Err(e) => {
-                    eprintln!("{e}");
-                    exit(1)
-                }
-            }
-        }
-        Some("compare") => run_compare_command(&args[1..]),
-        Some("record") => run_record_command(&args[1..]),
-        Some("report") => run_report_command(&args[1..]),
-        Some("explain") => run_explain_command(&args[1..]),
-        Some("telemetry") => run_telemetry_command(&args[1..]),
-        Some("profile") => run_profile_command(&args[1..]),
-        Some("sweep") => run_sweep_command(&args[1..]),
-        Some("mix") => run_mix_command(&args[1..]),
-        Some("fuzz") => run_fuzz_command(&args[1..]),
-        Some("equiv") => run_equiv_command(&args[1..]),
-        Some("campaign") => run_campaign_command(&args[1..]),
-        _ => usage(),
     }
 }

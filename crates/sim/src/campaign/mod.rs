@@ -205,7 +205,13 @@ pub fn load_campaign(dir: &Path) -> Result<Campaign, CampaignError> {
         .map_err(|e| CampaignError::Spec(format!("no campaign at {}: {e}", dir.display())))?;
     let doc =
         Json::parse(&text).map_err(|e| CampaignError::Spec(format!("{}: {e}", path.display())))?;
-    let spec = CampaignSpec::from_json(&doc)
+    // spec.json is the normalized spec plus the two campaign-state keys
+    // `init_campaign` appends; the spec reader sees only the spec.
+    let mut spec_doc = doc.clone();
+    if let Json::Obj(fields) = &mut spec_doc {
+        fields.retain(|(k, _)| k != "shards" && k != "provenance");
+    }
+    let spec = CampaignSpec::from_json(&spec_doc)
         .map_err(|e| CampaignError::Spec(format!("{}: {e}", path.display())))?;
     let shards = doc
         .get("shards")

@@ -15,7 +15,7 @@
 //! [`grid_hash`]: CampaignSpec::grid_hash
 
 use crate::json::{field, Json};
-use crate::run::{EvalConfig, Mechanism};
+use crate::run::{check_sizing, EvalConfig, Mechanism, SizingKnob};
 use crate::schema;
 use crate::sweep::fnv1a_hex;
 use crate::EquivAxis;
@@ -254,9 +254,13 @@ impl CampaignSpec {
 
     /// Parses a normalized spec document back (the inverse of
     /// [`to_json`](Self::to_json); also accepts user-authored JSON specs,
-    /// where the `schema` field and most sections are optional).
+    /// where the `schema` field and most sections are optional). Unknown
+    /// keys, wrong-typed values and sizing values outside the rules of
+    /// [`check_sizing`] are errors naming the key: a typo in an experiment
+    /// spec must not quietly run a different grid.
     pub fn from_json(doc: &Json) -> Result<CampaignSpec, String> {
-        if let Some(tag) = doc.get("schema").and_then(Json::as_str) {
+        let top = Table::new(doc, "the spec", TOP_KEYS)?;
+        if let Some(tag) = top.str("schema")? {
             if tag != schema::CAMPAIGN_SPEC {
                 return Err(format!(
                     "schema mismatch: expected {:?}, found {tag:?}",
@@ -264,9 +268,8 @@ impl CampaignSpec {
                 ));
             }
         }
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
+        let name = top
+            .str("name")?
             .ok_or("spec needs a string `name`")?
             .to_string();
         if name.is_empty()
@@ -278,12 +281,8 @@ impl CampaignSpec {
                 "campaign name {name:?} must be non-empty [a-zA-Z0-9_-] (it names the campaign directory)"
             ));
         }
-        let hypothesis = doc
-            .get("hypothesis")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let mode = match doc.get("mode").and_then(Json::as_str) {
+        let hypothesis = top.str("hypothesis")?.unwrap_or("").to_string();
+        let mode = match top.str("mode")? {
             None => CellMode::Sweep,
             Some(s) => CellMode::parse(s)
                 .ok_or_else(|| format!("unknown mode {s:?} (sweep|explain|fuzz|equiv)"))?,
@@ -304,29 +303,33 @@ impl CampaignSpec {
         };
         let mut eval = EvalConfig::default();
         if let Some(e) = doc.get("eval") {
-            if let Some(v) = e.get("warmup").and_then(Json::as_u64) {
+            let e = Table::new(e, "[eval]", EVAL_KEYS)?;
+            if let Some(v) = e.u64("warmup")? {
                 eval.warmup_instructions = v;
             }
-            if let Some(v) = e.get("measure").and_then(Json::as_u64) {
+            if let Some(v) = e.u64("measure")? {
+                e.check("measure", SizingKnob::Measure, v as f64)?;
                 eval.measure_instructions = v;
             }
-            if let Some(v) = e.get("scale").and_then(Json::as_f64) {
+            if let Some(v) = e.typed("scale", "a number", Json::as_f64)? {
+                e.check("scale", SizingKnob::Scale, v)?;
                 eval.gen.scale = v;
             }
-            if let Some(v) = e.get("iters").and_then(Json::as_u64) {
+            if let Some(v) = e.u64("iters")? {
                 eval.gen.iters = v;
             }
-            if let Some(v) = e.get("seed").and_then(Json::as_u64) {
+            if let Some(v) = e.u64("seed")? {
                 eval.gen.seed = v;
             }
-            eval.max_cycles = e.get("max_cycles").and_then(Json::as_u64);
-            if let Some(i) = e.get("telemetry_interval").and_then(Json::as_u64) {
+            eval.max_cycles = e.u64("max_cycles")?;
+            if let Some(i) = e.u64("telemetry_interval")? {
+                e.check("telemetry_interval", SizingKnob::Interval, i as f64)?;
                 eval.telemetry = Some(TelemetryConfig {
                     interval: i,
                     ..TelemetryConfig::default()
                 });
             }
-            if let Some(d) = e.get("diagnostics").and_then(Json::as_bool) {
+            if let Some(d) = e.typed("diagnostics", "true or false", Json::as_bool)? {
                 eval.diagnostics = d;
             }
         }
@@ -335,8 +338,8 @@ impl CampaignSpec {
         }
         let seeds = match (
             doc.get("seeds"),
-            doc.get("seed_start"),
-            doc.get("seed_count"),
+            top.u64("seed_start")?,
+            top.u64("seed_count")?,
         ) {
             (Some(v), None, None) => {
                 let arr = v.as_arr().ok_or("`seeds` must be an array")?;
@@ -347,18 +350,12 @@ impl CampaignSpec {
                     })
                     .collect::<Result<Vec<_>, _>>()?
             }
-            (None, start, count) => {
-                let start = start.and_then(Json::as_u64);
-                let count = count.and_then(Json::as_u64);
-                match (start, count) {
-                    (None, None) => vec![eval.gen.seed],
-                    (s, Some(n)) => {
-                        let s = s.unwrap_or(0);
-                        (s..s.checked_add(n).ok_or("seed range overflows")?).collect()
-                    }
-                    (Some(_), None) => return Err("`seed_start` needs `seed_count`".to_string()),
-                }
+            (None, None, None) => vec![eval.gen.seed],
+            (None, s, Some(n)) => {
+                let s = s.unwrap_or(0);
+                (s..s.checked_add(n).ok_or("seed range overflows")?).collect()
             }
+            (None, Some(_), None) => return Err("`seed_start` needs `seed_count`".to_string()),
             _ => {
                 return Err("give either `seeds` or `seed_start`/`seed_count`, not both".to_string())
             }
@@ -371,13 +368,20 @@ impl CampaignSpec {
         }
         let grid = match doc.get("grid") {
             None => ConfigGrid::default(),
-            Some(g) => ConfigGrid {
-                rob: usize_list(g, "rob")?,
-                cuc_sets: usize_list(g, "cuc_sets")?,
-                partition_step: usize_list(g, "partition_step")?,
-            },
+            Some(g) => {
+                let g = Table::new(g, "[grid]", GRID_KEYS)?;
+                let rob = g.usize_list("rob")?;
+                for &r in &rob {
+                    g.check("rob", SizingKnob::Rob, r as f64)?;
+                }
+                ConfigGrid {
+                    rob,
+                    cuc_sets: g.usize_list("cuc_sets")?,
+                    partition_step: g.usize_list("partition_step")?,
+                }
+            }
         };
-        let equiv_axis = match doc.get("equiv_axis").and_then(Json::as_str) {
+        let equiv_axis = match top.str("equiv_axis")? {
             None | Some("scheduler") => EquivAxis::Scheduler,
             Some("mem_model") | Some("mem-model") => EquivAxis::MemModel,
             Some("boundary") => EquivAxis::Boundary,
@@ -424,19 +428,90 @@ fn str_list(v: &Json, what: &str) -> Result<Vec<String>, String> {
         .collect()
 }
 
-fn usize_list(doc: &Json, key: &str) -> Result<Vec<usize>, String> {
-    match doc.get(key) {
-        None => Ok(Vec::new()),
-        Some(v) => v
-            .as_arr()
-            .ok_or_else(|| format!("grid `{key}` must be an array of integers"))?
+/// Keys a spec may hold at the top level, in `[eval]`, and in `[grid]`.
+const TOP_KEYS: &[&str] = &[
+    "schema",
+    "name",
+    "hypothesis",
+    "mode",
+    "workloads",
+    "mechanisms",
+    "seeds",
+    "seed_start",
+    "seed_count",
+    "grid",
+    "eval",
+    "equiv_axis",
+];
+const EVAL_KEYS: &[&str] = &[
+    "warmup",
+    "measure",
+    "scale",
+    "iters",
+    "seed",
+    "max_cycles",
+    "telemetry_interval",
+    "diagnostics",
+];
+const GRID_KEYS: &[&str] = &["rob", "cuc_sets", "partition_step"];
+
+/// One table of a spec document, checked for unknown keys, with typed
+/// readers that refuse a wrong-typed value by key. A `null` value (how
+/// [`CampaignSpec::to_json`] writes an unset option) reads as absent.
+struct Table<'a> {
+    doc: &'a Json,
+    name: &'static str,
+}
+
+impl<'a> Table<'a> {
+    fn new(doc: &'a Json, name: &'static str, keys: &[&str]) -> Result<Table<'a>, String> {
+        let Json::Obj(fields) = doc else {
+            return Err(format!("{name} must be a table"));
+        };
+        if let Some((k, _)) = fields.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown key `{k}` in {name} (expected one of: {})",
+                keys.join(", ")
+            ));
+        }
+        Ok(Table { doc, name })
+    }
+
+    fn typed<T>(
+        &self,
+        key: &str,
+        what: &str,
+        read: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.doc.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => read(v)
+                .map(Some)
+                .ok_or_else(|| format!("{} `{key}` must be {what}", self.name)),
+        }
+    }
+
+    fn str(&self, key: &str) -> Result<Option<&'a str>, String> {
+        self.typed(key, "a string", Json::as_str)
+    }
+
+    fn u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.typed(key, "an unsigned integer", Json::as_u64)
+    }
+
+    /// Applies the shared sizing rule to one value of `key`.
+    fn check(&self, key: &str, knob: SizingKnob, value: f64) -> Result<(), String> {
+        check_sizing(knob, value).map_err(|rule| format!("{} `{key}` {rule}", self.name))
+    }
+
+    fn usize_list(&self, key: &str) -> Result<Vec<usize>, String> {
+        let what = "an array of unsigned integers";
+        let items = self.typed(key, what, Json::as_arr)?.unwrap_or(&[]);
+        items
             .iter()
-            .map(|n| {
-                n.as_u64()
-                    .map(|n| n as usize)
-                    .ok_or_else(|| format!("grid `{key}` entries must be unsigned integers"))
-            })
-            .collect(),
+            .map(|n| n.as_u64().map(|n| n as usize))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| format!("{} `{key}` must be {what}", self.name))
     }
 }
 
@@ -550,6 +625,47 @@ scale = 0.03
             ("name = \"x\"\nseed_start = 1", "seed_count"),
             ("name = \"x\"\nworkloads = []", "zero cells"),
             ("name = \"x\"\nequiv_axis = \"both\"", "equiv_axis"),
+            (
+                "name = \"x\"\nmechansims = [\"warp\"]",
+                "unknown key `mechansims`",
+            ),
+            (
+                "name = \"x\"\n[eval]\nmeasur = 5",
+                "unknown key `measur` in [eval]",
+            ),
+            (
+                "name = \"x\"\n[grid]\nrobs = [256]",
+                "unknown key `robs` in [grid]",
+            ),
+            (
+                "name = \"x\"\n[grid]\nrob = [0]",
+                "[grid] `rob` must be at least 1",
+            ),
+            (
+                "name = \"x\"\n[eval]\nmeasure = 0",
+                "[eval] `measure` must be at least 1",
+            ),
+            (
+                "name = \"x\"\n[eval]\nscale = 0",
+                "[eval] `scale` must be a finite number",
+            ),
+            (
+                "name = \"x\"\n[eval]\nscale = \"x\"",
+                "[eval] `scale` must be a number",
+            ),
+            (
+                "name = \"x\"\n[eval]\ntelemetry_interval = 0",
+                "[eval] `telemetry_interval` must be at least 1",
+            ),
+            ("name = \"x\"\nmode = 3", "the spec `mode` must be a string"),
+            (
+                "name = \"x\"\nseed_count = \"5\"",
+                "`seed_count` must be an unsigned",
+            ),
+            (
+                "name = \"x\"\n[grid]\nrob = 256",
+                "[grid] `rob` must be an array",
+            ),
         ] {
             let err = CampaignSpec::parse(text).expect_err(text);
             assert!(err.contains(needle), "{text:?}: {err}");

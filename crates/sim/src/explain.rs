@@ -19,14 +19,10 @@
 //! report are bit-identical to a plain sweep of the same grid (enforced by
 //! `crates/sim/tests/explain.rs`).
 
-use crate::error::SimError;
 use crate::json::{field, Json};
 use crate::report::Table;
-use crate::run::{run_workload, EvalConfig, Measurement, Mechanism, RunOutput};
-use crate::sweep::{measurement_json, panic_message, parallel_map};
+use crate::sweep::{measurement_json, run_sweep, Sweep, SweepCell, SweepConfig};
 use cdf_core::{CdfDiagnostics, ChainRecord, Coverage, Histogram};
-use cdf_workloads::registry;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The JSON schema tag stamped on every emitted explain document.
 pub use crate::schema::EXPLAIN as EXPLAIN_SCHEMA;
@@ -35,141 +31,38 @@ pub use crate::schema::EXPLAIN as EXPLAIN_SCHEMA;
 /// aggregate counters always cover every chain.
 pub const DEFAULT_CHAIN_LIMIT: usize = 32;
 
-/// The grid and sizing of one explain run.
+/// A completed explain run: the sweep of the grid with diagnostics attached
+/// to every cell, plus how many chain records each cell embeds.
 #[derive(Clone, Debug)]
-pub struct ExplainConfig {
-    /// Workload names (rows of the grid).
-    pub workloads: Vec<String>,
-    /// Mechanisms (columns of the grid).
-    pub mechanisms: Vec<Mechanism>,
-    /// Shared evaluation sizing; `diagnostics` is forced on per cell.
-    pub eval: EvalConfig,
-    /// Worker threads; `0` means one per available hardware thread.
-    pub threads: usize,
+pub struct ExplainReport {
+    /// The sweep; every successful cell carries its diagnostics.
+    pub sweep: Sweep,
     /// Chain records embedded per cell in the JSON document.
     pub chain_limit: usize,
 }
 
-impl ExplainConfig {
-    /// An explain run over the given workloads and mechanisms.
-    pub fn new<I, S>(workloads: I, mechanisms: Vec<Mechanism>, eval: EvalConfig) -> ExplainConfig
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        ExplainConfig {
-            workloads: workloads.into_iter().map(Into::into).collect(),
-            mechanisms,
-            eval,
-            threads: 0,
-            chain_limit: DEFAULT_CHAIN_LIMIT,
-        }
-    }
-
-    /// The full default grid: every registry workload × every mechanism.
-    pub fn full_grid(eval: EvalConfig) -> ExplainConfig {
-        ExplainConfig::new(
-            registry::NAMES.iter().copied(),
-            Mechanism::ALL.to_vec(),
-            eval,
-        )
-    }
-}
-
-/// One grid point: the measurement plus the provenance diagnostics, or the
-/// typed reason the cell failed.
-#[derive(Clone, Debug)]
-pub struct ExplainCell {
-    /// Workload name.
-    pub workload: String,
-    /// Mechanism simulated.
-    pub mechanism: Mechanism,
-    /// Measurement + diagnostics, or the failure.
-    pub result: Result<(Measurement, CdfDiagnostics), SimError>,
-}
-
-/// A completed explain run over the whole grid.
-#[derive(Clone, Debug)]
-pub struct ExplainReport {
-    /// The configuration that produced this report.
-    pub config: ExplainConfig,
-    /// Results in deterministic grid order (workload-major).
-    pub cells: Vec<ExplainCell>,
-}
-
-/// Runs the explain grid: every cell simulates with diagnostics attached,
-/// in parallel, with per-cell fault isolation (a failing cell is recorded,
-/// never fatal).
-pub fn run_explain(config: &ExplainConfig) -> ExplainReport {
-    let mut eval = config.eval.clone();
-    eval.diagnostics = true;
-    let jobs: Vec<(&str, Mechanism)> = config
-        .workloads
-        .iter()
-        .flat_map(|w| config.mechanisms.iter().map(move |&m| (w.as_str(), m)))
-        .collect();
-    let cells = parallel_map(&jobs, config.threads, |&(w, m)| explain_cell(w, m, &eval));
+/// Runs `config`'s grid through [`run_sweep`] with diagnostics forced on
+/// (parallel, per-cell fault isolation: a failing cell is recorded, never
+/// fatal).
+pub fn run_explain(config: &SweepConfig, chain_limit: usize) -> ExplainReport {
+    let mut config = config.clone();
+    config.eval.diagnostics = true;
     ExplainReport {
-        config: config.clone(),
-        cells,
-    }
-}
-
-/// Runs one explain cell, capturing every failure mode as a [`SimError`].
-pub fn explain_cell(workload: &str, mechanism: Mechanism, eval: &EvalConfig) -> ExplainCell {
-    let mut eval = eval.clone();
-    eval.diagnostics = true;
-    let result = match registry::lookup(workload, &eval.gen) {
-        Err(e) => Err(SimError::from(e)),
-        Ok(w) => match catch_unwind(AssertUnwindSafe(|| {
-            run_workload(&w, mechanism.mode(), mechanism.label(), &eval, false)
-        })) {
-            Ok(Ok(RunOutput {
-                measurement,
-                diagnostics: Some(d),
-                ..
-            })) => Ok((measurement, d)),
-            Ok(Ok(_)) => unreachable!("diagnostics were enabled in the config"),
-            Ok(Err(e)) => Err(e),
-            Err(payload) => Err(SimError::Panicked(panic_message(payload))),
-        },
-    };
-    ExplainCell {
-        workload: workload.to_string(),
-        mechanism,
-        result,
+        sweep: run_sweep(&config),
+        chain_limit,
     }
 }
 
 impl ExplainReport {
-    /// The cell for one grid point, if it was in the grid.
-    pub fn cell(&self, workload: &str, mechanism: Mechanism) -> Option<&ExplainCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.mechanism == mechanism)
-    }
-
-    /// The diagnostics for one grid point, if the cell ran and succeeded.
-    pub fn diagnostics(&self, workload: &str, mechanism: Mechanism) -> Option<&CdfDiagnostics> {
-        self.cell(workload, mechanism)
-            .and_then(|c| c.result.as_ref().ok())
-            .map(|(_, d)| d)
-    }
-
-    /// `(succeeded, failed)` cell counts.
-    pub fn counts(&self) -> (usize, usize) {
-        let failed = self.cells.iter().filter(|c| c.result.is_err()).count();
-        (self.cells.len() - failed, failed)
-    }
-
     /// The full report as a JSON document (schema [`EXPLAIN_SCHEMA`]).
     pub fn to_json(&self) -> Json {
-        let gen = &self.config.eval.gen;
+        let config = &self.sweep.config;
+        let gen = &config.eval.gen;
         Json::Obj(vec![
             field("schema", EXPLAIN_SCHEMA),
             field(
                 "provenance",
-                crate::provenance::provenance_json(&cdf_core::Provenance::capture()),
+                crate::provenance::provenance_json(&self.sweep.provenance),
             ),
             field(
                 "gen",
@@ -182,49 +75,30 @@ impl ExplainReport {
             field(
                 "eval",
                 Json::Obj(vec![
-                    field("warmup_instructions", self.config.eval.warmup_instructions),
-                    field(
-                        "measure_instructions",
-                        self.config.eval.measure_instructions,
-                    ),
-                    field("max_cycles", self.config.eval.max_cycles),
+                    field("warmup_instructions", config.eval.warmup_instructions),
+                    field("measure_instructions", config.eval.measure_instructions),
+                    field("max_cycles", config.eval.max_cycles),
                 ]),
             ),
             field(
                 "workloads",
-                Json::Arr(
-                    self.config
-                        .workloads
-                        .iter()
-                        .map(|w| w.as_str().into())
-                        .collect(),
-                ),
+                Json::Arr(config.workloads.iter().map(|w| w.as_str().into()).collect()),
             ),
             field(
                 "mechanisms",
-                Json::Arr(
-                    self.config
-                        .mechanisms
-                        .iter()
-                        .map(|m| m.label().into())
-                        .collect(),
-                ),
+                Json::Arr(config.mechanisms.iter().map(|m| m.label().into()).collect()),
             ),
             field(
                 "cells",
                 Json::Arr(
-                    self.cells
+                    self.sweep
+                        .cells
                         .iter()
-                        .map(|c| cell_json(c, self.config.chain_limit))
+                        .map(|c| cell_json(c, self.chain_limit))
                         .collect(),
                 ),
             ),
         ])
-    }
-
-    /// Writes [`to_json`](Self::to_json) (pretty-printed) to `path`.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json().render_pretty())
     }
 
     /// Chrome/Perfetto trace-event JSON with one async span per recorded
@@ -233,8 +107,8 @@ impl ExplainReport {
     /// out against each other.
     pub fn chain_trace_events(&self) -> Json {
         let mut events = Vec::new();
-        for (tid, c) in self.cells.iter().enumerate() {
-            let Ok((_, d)) = &c.result else { continue };
+        for (tid, c) in self.sweep.cells.iter().enumerate() {
+            let Some(d) = &c.diagnostics else { continue };
             let tid = tid as u64 + 1;
             events.push(Json::Obj(vec![
                 field("name", "thread_name"),
@@ -297,9 +171,9 @@ impl ExplainReport {
             "lead-mean",
             "lead-p50",
         ]);
-        for c in &self.cells {
-            match &c.result {
-                Ok((_, d)) => {
+        for c in &self.sweep.cells {
+            match (&c.result, &c.diagnostics) {
+                (Ok(_), Some(d)) => {
                     t.row(&[
                         c.workload.clone(),
                         c.mechanism.label().to_string(),
@@ -313,11 +187,15 @@ impl ExplainReport {
                         format!("{}", histogram_p50(&d.lead_time)),
                     ]);
                 }
-                Err(e) => {
+                (result, _) => {
+                    let status = match result {
+                        Err(e) => format!("ERROR({})", e.kind()),
+                        Ok(_) => "no diagnostics".to_string(),
+                    };
                     t.row(&[
                         c.workload.clone(),
                         c.mechanism.label().to_string(),
-                        format!("ERROR({})", e.kind()),
+                        status,
                         "-".into(),
                         "-".into(),
                         "-".into(),
@@ -329,7 +207,7 @@ impl ExplainReport {
                 }
             }
         }
-        let (ok, failed) = self.counts();
+        let (ok, failed) = self.sweep.counts();
         format!(
             "Explain — CUC coverage / accuracy / lead time per (workload × mechanism); \
              {ok} ok, {failed} failed\n{}",
@@ -363,16 +241,18 @@ fn histogram_p50(h: &Histogram) -> u64 {
     0
 }
 
-fn cell_json(c: &ExplainCell, chain_limit: usize) -> Json {
+fn cell_json(c: &SweepCell, chain_limit: usize) -> Json {
     let mut fields = vec![
         field("workload", c.workload.as_str()),
         field("mechanism", c.mechanism.label()),
         field("status", if c.result.is_ok() { "ok" } else { "error" }),
     ];
     match &c.result {
-        Ok((m, d)) => {
+        Ok(m) => {
             fields.push(field("measurement", measurement_json(m)));
-            fields.push(field("diagnostics", diagnostics_json(d, chain_limit)));
+            if let Some(d) = &c.diagnostics {
+                fields.push(field("diagnostics", diagnostics_json(d, chain_limit)));
+            }
         }
         Err(e) => fields.push(field(
             "error",
@@ -524,6 +404,7 @@ fn chain_json(c: &ChainRecord) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{EvalConfig, Mechanism};
 
     fn tiny_eval() -> EvalConfig {
         EvalConfig {
@@ -539,9 +420,12 @@ mod tests {
     }
 
     #[test]
-    fn explain_cell_collects_cdf_provenance() {
-        let c = explain_cell("astar_like", Mechanism::Cdf, &tiny_eval());
-        let (m, d) = c.result.as_ref().expect("cell runs");
+    fn explain_collects_cdf_provenance() {
+        let cfg = SweepConfig::new(["astar_like"], vec![Mechanism::Cdf], tiny_eval());
+        let report = run_explain(&cfg, DEFAULT_CHAIN_LIMIT);
+        let cell = &report.sweep.cells[0];
+        let m = cell.result.as_ref().expect("cell runs");
+        let d = cell.diagnostics.as_ref().expect("diagnostics attached");
         assert!(m.critical_uops > 0, "CDF must engage");
         assert!(d.walks > 0, "walks observed");
         assert!(d.critical_uops_fetched > 0, "critical fetch observed");
@@ -555,13 +439,13 @@ mod tests {
 
     #[test]
     fn report_json_is_valid_and_tagged() {
-        let cfg = ExplainConfig::new(
+        let cfg = SweepConfig::new(
             ["astar_like"],
             vec![Mechanism::Baseline, Mechanism::Cdf],
             tiny_eval(),
         );
-        let report = run_explain(&cfg);
-        assert_eq!(report.counts(), (2, 0));
+        let report = run_explain(&cfg, DEFAULT_CHAIN_LIMIT);
+        assert_eq!(report.sweep.counts(), (2, 0));
         let text = report.to_json().render_pretty();
         let doc = Json::parse(&text).expect("emitted JSON parses");
         assert_eq!(
@@ -581,14 +465,17 @@ mod tests {
 
     #[test]
     fn failed_cells_are_recorded_not_fatal() {
-        let cfg = ExplainConfig::new(
+        let cfg = SweepConfig::new(
             ["no_such_kernel", "astar_like"],
             vec![Mechanism::Baseline],
             tiny_eval(),
         );
-        let report = run_explain(&cfg);
-        assert_eq!(report.counts(), (1, 1));
-        let bad = report.cell("no_such_kernel", Mechanism::Baseline).unwrap();
+        let report = run_explain(&cfg, DEFAULT_CHAIN_LIMIT);
+        assert_eq!(report.sweep.counts(), (1, 1));
+        let bad = report
+            .sweep
+            .cell("no_such_kernel", Mechanism::Baseline)
+            .unwrap();
         assert_eq!(bad.result.as_ref().unwrap_err().kind(), "unknown_workload");
         assert!(report.to_json().render().contains("\"status\":\"error\""));
         assert!(report.render_summary().contains("ERROR(unknown_workload)"));
@@ -596,8 +483,8 @@ mod tests {
 
     #[test]
     fn chain_spans_balance_begin_end() {
-        let cfg = ExplainConfig::new(["astar_like"], vec![Mechanism::Cdf], tiny_eval());
-        let report = run_explain(&cfg);
+        let cfg = SweepConfig::new(["astar_like"], vec![Mechanism::Cdf], tiny_eval());
+        let report = run_explain(&cfg, DEFAULT_CHAIN_LIMIT);
         let doc = Json::parse(&report.chain_trace_events().render()).expect("valid JSON");
         let events = doc.as_arr().unwrap();
         let count = |ph: &str| {

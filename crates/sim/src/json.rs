@@ -236,6 +236,7 @@ impl Json {
     /// [`Json::F64`] otherwise, mirroring how the serializer emits them.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -254,6 +255,7 @@ impl Json {
 const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -366,6 +368,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters in one slice. The run stops
+            // only at ASCII bytes (quote, backslash, control), which never
+            // occur inside a multi-byte UTF-8 scalar, so both ends of the
+            // slice sit on char boundaries.
+            let start = self.pos;
+            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -402,16 +413,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing on
-                    // a char boundary is guaranteed to exist).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty by peek");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -543,6 +545,16 @@ mod tests {
             Json::parse("\"π≈3\"").unwrap(),
             Json::Str("π≈3".to_string())
         );
+    }
+
+    #[test]
+    fn multi_byte_utf8_round_trips() {
+        let doc = Json::Obj(vec![
+            field("café ≈ π", "naïve — 日本語 🦀 \"q\" é\n"),
+            field("k", Json::Arr(vec!["ü".into(), "𝄞x".into()])),
+        ]);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+        assert_eq!(Json::parse(&doc.render_pretty()).unwrap(), doc);
     }
 
     #[test]

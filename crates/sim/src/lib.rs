@@ -54,6 +54,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod campaign;
+pub mod cli;
 pub mod compare;
 pub mod equivalence;
 pub mod experiments;
@@ -88,10 +89,7 @@ pub use equivalence::{
     EquivMismatch, EquivReport, EquivVariant, EQUIV_SCHEMA,
 };
 pub use error::{SimError, WatchdogPhase};
-pub use explain::{
-    diagnostics_json, explain_cell, run_explain, ExplainCell, ExplainConfig, ExplainReport,
-    EXPLAIN_SCHEMA,
-};
+pub use explain::{diagnostics_json, run_explain, ExplainReport, EXPLAIN_SCHEMA};
 pub use fuzz::{
     minimize_spec, minimize_with, run_fuzz, run_lockstep, run_lockstep_full, FailureKind,
     FuzzConfig, FuzzFailure, FuzzReport, LockstepOutcome, FUZZ_CASE_SCHEMA, FUZZ_SCHEMA,
@@ -108,13 +106,13 @@ pub use prof::{
 };
 pub use provenance::{provenance_from_json, provenance_json};
 pub use run::{
-    run_workload, simulate, try_simulate, EvalConfig, Measurement, Mechanism, RunOutput,
+    check_sizing, run_workload, simulate, try_simulate, EvalConfig, Measurement, Mechanism,
+    RunOutput, SizingKnob,
 };
 pub use store::{
-    next_run_id, record_from_json, record_json, record_sweep, records_for_run, records_from_cells,
-    records_from_explain, resolve_ref, run_ids, run_record, throughput_record, DiagSummary,
-    RecordConfig, RecordPayload, RecordRun, ResultKey, ResultRecord, ResultStore, StoreError,
-    TelemetrySummary, DEFAULT_STORE_PATH, RESULT_SCHEMA,
+    record_from_json, record_json, record_sweep, records_for_run, records_from_cells, resolve_ref,
+    run_ids, run_record, throughput_record, DiagSummary, RecordPayload, RecordRun, ResultKey,
+    ResultRecord, ResultStore, StoreError, TelemetrySummary, DEFAULT_STORE_PATH, RESULT_SCHEMA,
 };
 pub use sweep::{
     eval_config_hash, run_cell, run_cell_mode, run_sweep, Sweep, SweepCell, SweepConfig,

@@ -165,6 +165,38 @@ impl EvalConfig {
     }
 }
 
+/// A sizing knob with a range rule shared by the `cdf-sim` flags and the
+/// campaign spec reader, so a value one front end refuses the other
+/// refuses too.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SizingKnob {
+    /// ROB entries (`--rob`, `[grid] rob`).
+    Rob,
+    /// Measured instructions (`--measure`, `[eval] measure`).
+    Measure,
+    /// Workload footprint scale (`--scale`, `[eval] scale`).
+    Scale,
+    /// Telemetry sample interval in cycles (`--telemetry`, `--interval`,
+    /// `[eval] telemetry_interval`).
+    Interval,
+}
+
+/// Checks one sizing value against its knob's rule. The error is the rule
+/// itself ("must be at least 1 ..."); callers prefix the flag or key.
+pub fn check_sizing(knob: SizingKnob, value: f64) -> Result<(), String> {
+    let (ok, rule) = match knob {
+        SizingKnob::Rob => (value >= 1.0, "a zero-entry ROB never retires"),
+        SizingKnob::Measure => (value >= 1.0, "an empty window measures nothing"),
+        SizingKnob::Interval => (value >= 1.0, "a sample spans at least one cycle"),
+        SizingKnob::Scale => (value.is_finite() && value > 0.0, ""),
+    };
+    match (ok, knob) {
+        (true, _) => Ok(()),
+        (false, SizingKnob::Scale) => Err("must be a finite number above 0".to_string()),
+        (false, _) => Err(format!("must be at least 1 ({rule})")),
+    }
+}
+
 /// The measured quantities of one (workload, mechanism) run over the
 /// measurement window.
 ///

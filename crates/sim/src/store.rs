@@ -23,8 +23,7 @@
 //! * `cdf-sim record` — runs the full (workload × mechanism) grid, or a
 //!   `--filter` subset, and appends one record per cell ([`run_record`]).
 //! * `cdf-sim sweep --record` / `explain --record` — tee the cells of a
-//!   normal sweep/explain run into the store ([`record_sweep`],
-//!   [`records_from_explain`]).
+//!   normal sweep/explain run into the store ([`record_sweep`]).
 //! * `throughput-gate --record` — perf rows land in the same store (kind
 //!   `"throughput"`), so stats history and perf history live together.
 //!
@@ -37,10 +36,10 @@ use crate::provenance::{provenance_from_json, provenance_json};
 use crate::run::{EvalConfig, Measurement, Mechanism};
 use crate::schema;
 use crate::sweep::{
-    eval_config_hash, measurement_json, parallel_map, run_cell_mode, Sweep, SweepCell,
+    eval_config_hash, measurement_json, parallel_map, run_cell_mode, Sweep, SweepCell, SweepConfig,
 };
 use cdf_core::{CdfDiagnostics, Coverage, Provenance, Telemetry};
-use cdf_workloads::{registry, GenConfig};
+use cdf_workloads::GenConfig;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -297,10 +296,10 @@ impl ResultStore {
     /// processes (campaign shards, parallel CI jobs) allocate against one
     /// store concurrently.
     ///
-    /// [`next_run_id`] computes the same id by *reading* the store, which
-    /// is race-free only for a single writer: two processes that load the
-    /// same store state would mint the same ordinal and their interleaved
-    /// appends would merge into one run. This method closes the race by
+    /// Computing the id by only *reading* the store would be race-free for
+    /// a single writer alone: two processes that load the same store state
+    /// would mint the same ordinal and their interleaved appends would
+    /// merge into one run. This method closes the race by
     /// reserving the ordinal as a `create_new` marker file under
     /// `<store>.runs/` — creation is atomic, so exactly one process wins
     /// each ordinal and the loser retries with the next one.
@@ -408,14 +407,6 @@ fn run_id_for(ordinal: u64, prov: &Provenance) -> String {
     format!("r{:04}-{}{}", ordinal, prov.short_commit(8), dirty)
 }
 
-/// The next run id for a store already holding `existing` records:
-/// `r<ordinal>-<short commit>[-dirty]`. The ordinal keeps ids unique when
-/// the same commit records repeatedly. Race-free only for a single writer —
-/// concurrent producers must use [`ResultStore::reserve_run_id`].
-pub fn next_run_id(existing: &[ResultRecord], prov: &Provenance) -> String {
-    run_id_for(max_ordinal(existing) + 1, prov)
-}
-
 /// Resolves a user-facing run ref to a concrete run id. Accepted forms,
 /// tried in order: `latest` / `latest~N` (append order), an exact run id,
 /// or a commit-hash prefix (the most recent run recorded at a matching
@@ -477,46 +468,6 @@ pub fn records_for_run<'a>(records: &'a [ResultRecord], run_id: &str) -> Vec<&'a
 // Producing records.
 // ---------------------------------------------------------------------------
 
-/// Configuration of one `cdf-sim record` invocation.
-#[derive(Clone, Debug)]
-pub struct RecordConfig {
-    /// Workloads to run (default: the full registry).
-    pub workloads: Vec<String>,
-    /// Mechanisms to run (default: all seven).
-    pub mechanisms: Vec<Mechanism>,
-    /// Per-cell evaluation sizing (also determines the scheduler/mem-model
-    /// axis and whether telemetry/diagnostics summaries are captured).
-    pub eval: EvalConfig,
-    /// Worker threads (0 = machine-sized).
-    pub threads: usize,
-    /// Substring filter over `workload/mechanism` cell labels.
-    pub filter: Option<String>,
-    /// Store file to append to.
-    pub store_path: PathBuf,
-    /// Attach the host-side self-profiler to every cell and append one
-    /// extra `"profile"` record per successful cell (`record --profile`),
-    /// so host-perf regressions are caught by the same `compare` pass that
-    /// guards the simulated stats. Kept out of [`EvalConfig`] so the
-    /// per-cell config hash is unchanged whether or not profiling rode
-    /// along.
-    pub profile: bool,
-}
-
-impl RecordConfig {
-    /// The full registry grid at the given sizing, default store path.
-    pub fn full_grid(eval: EvalConfig) -> RecordConfig {
-        RecordConfig {
-            workloads: registry::NAMES.iter().map(|s| s.to_string()).collect(),
-            mechanisms: Mechanism::ALL.to_vec(),
-            eval,
-            threads: 0,
-            filter: None,
-            store_path: PathBuf::from(DEFAULT_STORE_PATH),
-            profile: false,
-        }
-    }
-}
-
 /// Outcome of one `record` invocation.
 #[derive(Clone, Debug)]
 pub struct RecordRun {
@@ -528,26 +479,39 @@ pub struct RecordRun {
     pub failed: usize,
 }
 
-/// Runs the configured grid (filtered) and appends one record per cell to
-/// the store. Cells run in parallel with per-cell fault isolation, exactly
-/// like a sweep.
-pub fn run_record(cfg: &RecordConfig) -> Result<RecordRun, StoreError> {
-    let jobs: Vec<(String, Mechanism)> = cfg
+/// Runs `grid`'s cells whose `workload/mechanism` label contains `filter`
+/// (all cells when `None`) and appends one record per cell to the store at
+/// `store_path` (nothing, not even a run id, when no cell matches). Cells
+/// run in parallel with per-cell fault isolation,
+/// exactly like a sweep; `grid.profile` also appends one `"profile"` record
+/// per successful cell, so host-perf regressions are caught by the same
+/// `compare` pass that guards the simulated stats.
+pub fn run_record(
+    grid: &SweepConfig,
+    filter: Option<&str>,
+    store_path: &Path,
+) -> Result<RecordRun, StoreError> {
+    let jobs: Vec<(&String, Mechanism)> = grid
         .workloads
         .iter()
-        .flat_map(|w| cfg.mechanisms.iter().map(move |&m| (w.clone(), m)))
-        .filter(|(w, m)| match &cfg.filter {
-            Some(f) => format!("{w}/{}", m.label()).contains(f.as_str()),
-            None => true,
-        })
+        .flat_map(|w| grid.mechanisms.iter().map(move |&m| (w, m)))
+        .filter(|(w, m)| filter.is_none_or(|f| format!("{w}/{}", m.label()).contains(f)))
         .collect();
-    let cells = parallel_map(&jobs, cfg.threads, |(w, m)| {
-        run_cell_mode(w, *m, m.mode(), &cfg.eval, cfg.profile)
+    if jobs.is_empty() {
+        // Nothing matched: reserve no run id and write nothing.
+        return Ok(RecordRun {
+            run_id: String::new(),
+            records: Vec::new(),
+            failed: 0,
+        });
+    }
+    let cells = parallel_map(&jobs, grid.threads, |(w, m)| {
+        run_cell_mode(w, *m, m.mode(), &grid.eval, grid.profile)
     });
-    let store = ResultStore::open(&cfg.store_path);
+    let store = ResultStore::open(store_path);
     let prov = Provenance::capture();
     let run_id = store.reserve_run_id(&prov)?;
-    let records = records_from_cells(&run_id, &prov, &cfg.eval, &cells);
+    let records = records_from_cells(&run_id, &prov, &grid.eval, &cells);
     let failed = records.iter().filter(|r| !r.is_ok()).count();
     store.append(&records)?;
     Ok(RecordRun {
@@ -628,46 +592,6 @@ pub fn record_sweep(store_path: &Path, sweep: &Sweep) -> Result<String, StoreErr
     let records = records_from_cells(&run_id, &sweep.provenance, &sweep.config.eval, &sweep.cells);
     store.append(&records)?;
     Ok(run_id)
-}
-
-/// Converts finished explain cells into store records
-/// (`cdf-sim explain --record`).
-pub fn records_from_explain(
-    run_id: &str,
-    prov: &Provenance,
-    eval: &EvalConfig,
-    cells: &[crate::explain::ExplainCell],
-) -> Vec<ResultRecord> {
-    let mut eval = eval.clone();
-    eval.diagnostics = true; // run_explain forces diagnostics on
-    let config_hash = eval_config_hash(&eval);
-    cells
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let payload = match &c.result {
-                Ok((m, d)) => RecordPayload::Cell {
-                    measurement: m.clone(),
-                    diagnostics: Some(DiagSummary::from_diagnostics(d)),
-                    telemetry: None,
-                },
-                Err(e) => RecordPayload::Error {
-                    kind: e.kind().to_string(),
-                    message: e.to_string(),
-                },
-            };
-            ResultRecord {
-                run_id: run_id.to_string(),
-                seq: i as u64,
-                provenance: prov.clone(),
-                config_hash: config_hash.clone(),
-                gen: Some(eval.gen),
-                key: cell_key(&c.workload, c.mechanism.label(), &eval),
-                wall_ms: 0,
-                payload,
-            }
-        })
-        .collect()
 }
 
 fn cell_key(workload: &str, mechanism: &str, eval: &EvalConfig) -> ResultKey {

@@ -20,8 +20,7 @@ use cdf_core::{CdfConfig, Core, CoreConfig, CoreMode, PreConfig};
 use cdf_isa::{ArchReg::*, Cond, MemoryImage, Program, ProgramBuilder};
 use cdf_sim::json::Json;
 use cdf_sim::{
-    diagnostics_json, run_explain, run_workload, EvalConfig, ExplainConfig, Mechanism,
-    EXPLAIN_SCHEMA,
+    diagnostics_json, run_explain, run_workload, EvalConfig, Mechanism, SweepConfig, EXPLAIN_SCHEMA,
 };
 use cdf_workloads::fuzz::FuzzSpec;
 use cdf_workloads::{registry, GenConfig};
@@ -277,10 +276,17 @@ fn full_grid_emits_valid_explain_json_for_every_cell() {
         gen: small_gen(),
         ..EvalConfig::quick()
     };
-    let report = run_explain(&ExplainConfig::full_grid(eval));
+    let report = run_explain(
+        &SweepConfig::full_grid(eval),
+        cdf_sim::explain::DEFAULT_CHAIN_LIMIT,
+    );
     let expected = registry::NAMES.len() * Mechanism::ALL.len();
-    assert_eq!(report.cells.len(), expected);
-    assert_eq!(report.counts(), (expected, 0), "every cell must succeed");
+    assert_eq!(report.sweep.cells.len(), expected);
+    assert_eq!(
+        report.sweep.counts(),
+        (expected, 0),
+        "every cell must succeed"
+    );
 
     let doc = Json::parse(&report.to_json().render_pretty()).expect("document parses");
     assert_eq!(

@@ -248,9 +248,9 @@ fn corrupt_store_line_is_a_hard_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite: N campaign shards allocating against one store concurrently
-/// must mint distinct, gap-free run ordinals. `next_run_id` computes the
-/// same ordinal for every reader of one store state; `reserve_run_id`
+/// N campaign shards allocating against one store concurrently must mint
+/// distinct, gap-free run ordinals. Reading the store alone would give
+/// every reader of one store state the same ordinal; `reserve_run_id`
 /// closes that race with atomic marker-file creation.
 #[test]
 fn concurrent_reservations_mint_distinct_sequential_run_ids() {
@@ -524,12 +524,11 @@ fn every_serializer_emits_a_registered_roundtripping_tag() {
         cdf_sim::run_equivalence(&equiv_cfg).to_json(),
     ));
 
-    let mut explain_cfg = cdf_sim::ExplainConfig::full_grid(eval.clone());
-    explain_cfg.workloads = vec!["astar_like".to_string()];
-    explain_cfg.mechanisms = vec![cdf_sim::Mechanism::Cdf];
+    let explain_cfg =
+        cdf_sim::SweepConfig::new(["astar_like"], vec![cdf_sim::Mechanism::Cdf], eval.clone());
     docs.push((
         schema::EXPLAIN,
-        cdf_sim::run_explain(&explain_cfg).to_json(),
+        cdf_sim::run_explain(&explain_cfg, cdf_sim::explain::DEFAULT_CHAIN_LIMIT).to_json(),
     ));
 
     let golden_cfg = cdf_sim::GoldenConfig {
